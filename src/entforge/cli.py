@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .core import ValidationError
-from .entanglement import page_value, predicted_entropy, predicted_lower_bound
+from .entanglement import page_value, predicted_entropy
 from .experiments import (
     REFERENCE_GAMMA,
     ExperimentConfig,
@@ -361,32 +361,26 @@ def _sweep_tables(config, sweep, out_dir):
 
 
 def _predictions(config, gamma_cal: GammaCalibration | None):
-    """Perturbative predictions on the run's grid, in both conventions."""
+    """Perturbative predictions on the run's grid, in both conventions.
+
+    Each convention's ``lower_bound`` is page_value(n_q) minus its own
+    ``entropy_bound`` value, the full perturbative entropy.
+    """
     entries = []
     for n_q in config.qubit_range:
         n_g_actual = build_step_circuit(MapParams(n_q, config.k_param)).gate_count
-        n_g_ref = reference_gate_count(n_q)
+        conventions = {"reference": (REFERENCE_GAMMA, reference_gate_count(n_q))}
+        if gamma_cal is not None:
+            conventions["calibrated"] = (gamma_cal.gamma_actual, n_g_actual)
         for eps in config.epsilon_grid:
-            entry = {
-                "nq": n_q,
-                "eps": _fmt(eps),
-                "reference": {
-                    "gamma": REFERENCE_GAMMA,
-                    "n_g": n_g_ref,
-                    "entropy_bound": _safe_predict(eps, n_q, config.steps, REFERENCE_GAMMA, n_g_ref),
-                    "lower_bound": predicted_lower_bound(eps, n_q, config.steps, REFERENCE_GAMMA),
-                },
-            }
-            if gamma_cal is not None:
-                entry["calibrated"] = {
-                    "gamma": gamma_cal.gamma_actual,
-                    "n_g": n_g_actual,
-                    "entropy_bound": _safe_predict(
-                        eps, n_q, config.steps, gamma_cal.gamma_actual, n_g_actual
-                    ),
-                    "lower_bound": predicted_lower_bound(
-                        eps, n_q, config.steps, gamma_cal.gamma_reference_convention
-                    ),
+            entry = {"nq": n_q, "eps": _fmt(eps)}
+            for name, (gamma, n_g) in conventions.items():
+                bound = _safe_predict(eps, n_q, config.steps, gamma, n_g)
+                entry[name] = {
+                    "gamma": gamma,
+                    "n_g": n_g,
+                    "entropy_bound": bound,
+                    "lower_bound": page_value(n_q) - bound["value"],
                 }
             entries.append(entry)
     return entries

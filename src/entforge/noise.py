@@ -1,7 +1,7 @@
 """Unitary gate noise and the Monte-Carlo trajectory average.
 
 Every gate application draws fresh uniform parameters in [-eps, +eps]:
-rotation-type gates get their Bloch axis tilted by (polar, azimuthal)
+Hadamard gates get their Bloch axis tilted by (polar, azimuthal)
 offsets, diagonal gates get one extra phase per computational basis state
 of their subspace.  Averaging the perturbed pure-state projectors over many
 independent realizations produces the noise-averaged density matrix.
@@ -29,8 +29,7 @@ from .sawtooth import (
     MapParams,
     build_step_circuit,
     evolve_exact,
-    rotation_matrix,
-    tilted_axis,
+    tilted_hadamard,
 )
 
 #: batches used for batch-means error estimates and convergence checks
@@ -41,16 +40,11 @@ DEFAULT_BATCH_COUNT = 8
 class NoiseModel:
     """Amplitude of the unitary gate noise.
 
-    Parameter counts per gate are fixed by the gate's shape: 2 tilt angles
-    per rotation-type gate, 2 extra phases per one-qubit diagonal gate, 4
-    per two-qubit diagonal gate.
+    Parameter counts per gate are fixed by the gate's shape
+    (``Gate.noise_parameter_count``).
     """
 
     epsilon: float
-
-    TILT_PARAMS_PER_ONE_QUBIT_GATE = 2
-    PHASE_PARAMS_PER_ONE_QUBIT_DIAGONAL_GATE = 2
-    PHASE_PARAMS_PER_TWO_QUBIT_GATE = 4
 
     def __post_init__(self) -> None:
         if self.epsilon < 0:
@@ -84,13 +78,9 @@ def derive_seed(master_seed: int, *parts) -> int:
 
 def perturb_one_qubit_gate(gate: Gate, draw) -> np.ndarray:
     """Rotation by the gate's nominal angle about a tilted axis; exactly unitary."""
-    if gate.kind not in (GateKind.HADAMARD, GateKind.ROTATION):
+    if gate.kind is not GateKind.HADAMARD:
         raise ValidationError(f"{gate.kind.value} gate is not a rotation")
-    polar, azimuth = float(draw[0]), float(draw[1])
-    u = rotation_matrix(tilted_axis(gate.axis, polar, azimuth), gate.angle)
-    if gate.kind is GateKind.HADAMARD:
-        u = 1j * u
-    return u
+    return tilted_hadamard(float(draw[0]), float(draw[1]))
 
 
 def perturb_phase_gate(gate: Gate, draws) -> np.ndarray:

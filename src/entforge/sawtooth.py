@@ -80,7 +80,6 @@ class MapParams:
 
 class GateKind(Enum):
     HADAMARD = "hadamard"
-    ROTATION = "one-qubit-rotation"
     PHASE1 = "one-qubit-phase"
     PHASE2 = "two-qubit-phase"
 
@@ -88,7 +87,6 @@ class GateKind(Enum):
 #: uniform noise draws consumed per gate application
 NOISE_PARAMS = {
     GateKind.HADAMARD: 2,  # axis tilt: polar + azimuthal offset
-    GateKind.ROTATION: 2,
     GateKind.PHASE1: 2,  # one extra phase per diagonal entry
     GateKind.PHASE2: 4,
 }
@@ -100,16 +98,14 @@ class Gate:
 
     ``phases`` holds the diagonal angles of PHASE1 (2 entries, slot = bit of
     the target qubit) and PHASE2 (4 entries, slot = 2*b1 + b2 for bits of
-    ``qubits[0]`` and ``qubits[1]``).  ROTATION gates carry a Bloch ``axis``
-    and ``angle``; HADAMARD is the pi rotation about (x+z)/sqrt(2) with a
-    fixed `i` prefactor so the zero-tilt matrix is exactly H.
+    ``qubits[0]`` and ``qubits[1]``).  HADAMARD is the pi rotation about
+    (x+z)/sqrt(2) with a fixed `i` prefactor so the zero-tilt matrix is
+    exactly H.
     """
 
     kind: GateKind
     qubits: tuple[int, ...]
     phases: tuple[float, ...] = ()
-    axis: tuple[float, float, float] = HADAMARD_AXIS
-    angle: float = HADAMARD_ANGLE
 
     def __post_init__(self) -> None:
         expected_qubits = 2 if self.kind is GateKind.PHASE2 else 1
@@ -130,19 +126,18 @@ class Gate:
 
     def matrix(self) -> np.ndarray:
         """Nominal unitary on the gate's own qubits (2x2 or 4x4 diagonal)."""
-        if self.kind is GateKind.PHASE1:
+        if self.is_diagonal:
+            # PHASE2: diagonal over |b1 b2> ordered 00, 01, 10, 11
             return np.diag(np.exp(1j * np.asarray(self.phases)))
-        if self.kind is GateKind.PHASE2:
-            # diagonal over |b1 b2> ordered 00, 01, 10, 11
-            return np.diag(np.exp(1j * np.asarray(self.phases)))
-        u = rotation_matrix(self.axis, self.angle)
-        if self.kind is GateKind.HADAMARD:
-            u = 1j * u
-        return u
+        return 1j * rotation_matrix(HADAMARD_AXIS, HADAMARD_ANGLE)
 
 
 def rotation_matrix(axis, angle: float) -> np.ndarray:
-    """Bloch rotation exp(-i*angle/2 * axis.sigma)."""
+    """Bloch rotation exp(-i*angle/2 * axis.sigma).
+
+    Axis components may be arrays of one shape; the result then has shape
+    (2, 2) + that shape.
+    """
     ux, uy, uz = axis
     c, s = math.cos(angle / 2.0), math.sin(angle / 2.0)
     return np.array(
@@ -154,13 +149,15 @@ def rotation_matrix(axis, angle: float) -> np.ndarray:
     )
 
 
-def tilted_axis(axis, polar: float, azimuth: float) -> tuple[float, float, float]:
+def tilted_axis(axis, polar, azimuth) -> tuple:
     """Unit vector at spherical offsets (polar, azimuth) in a local frame
     whose pole is ``axis``.
 
     The local x-direction is normalize(y_hat x axis), falling back to
     normalize(x_hat x axis) when the axis is nearly parallel to y_hat; this
-    fixed choice makes the tilt parameterization reproducible.
+    fixed choice makes the tilt parameterization reproducible.  The offsets
+    may be arrays of one shape (one tilt per trajectory); each returned
+    component then has that shape.
     """
     u = np.asarray(axis, dtype=np.float64)
     u = u / np.linalg.norm(u)
@@ -168,11 +165,22 @@ def tilted_axis(axis, polar: float, azimuth: float) -> tuple[float, float, float
     e1 = np.cross(ref, u)
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(u, e1)
-    tilted = (
-        math.sin(polar) * (math.cos(azimuth) * e1 + math.sin(azimuth) * e2)
-        + math.cos(polar) * u
+    sp, cp = np.sin(polar), np.cos(polar)
+    ca, sa = np.cos(azimuth), np.sin(azimuth)
+    x, y, z = (sp * (ca * e1[i] + sa * e2[i]) + cp * u[i] for i in range(3))
+    return x, y, z
+
+
+def tilted_hadamard(polar, azimuth) -> np.ndarray:
+    """Hadamard rotated about its axis tilted by (polar, azimuth), with the
+    same `i` prefactor as the nominal gate; exactly unitary.
+
+    Scalar offsets give a 2x2 matrix; arrays give (2, 2) + their shape, one
+    matrix per trajectory.
+    """
+    return 1j * rotation_matrix(
+        tilted_axis(HADAMARD_AXIS, polar, azimuth), HADAMARD_ANGLE
     )
-    return (float(tilted[0]), float(tilted[1]), float(tilted[2]))
 
 
 @dataclass(frozen=True)
@@ -240,15 +248,11 @@ def _qft_ladder(n_q: int) -> list[Gate]:
 
 
 def _inverse_gates(gates: list[Gate]) -> list[Gate]:
-    inv: list[Gate] = []
-    for g in reversed(gates):
-        if g.is_diagonal:
-            inv.append(Gate(g.kind, g.qubits, tuple(-p for p in g.phases)))
-        elif g.kind is GateKind.HADAMARD:
-            inv.append(g)
-        else:
-            inv.append(Gate(g.kind, g.qubits, axis=g.axis, angle=-g.angle))
-    return inv
+    # the Hadamard is its own inverse
+    return [
+        Gate(g.kind, g.qubits, tuple(-p for p in g.phases)) if g.is_diagonal else g
+        for g in reversed(gates)
+    ]
 
 
 def _quadratic_phase_gates(n_q: int, scale: float, bit_reversed: bool) -> list[Gate]:
@@ -335,143 +339,129 @@ def inverse_participation_ratio(state: StateVector) -> float:
 # --- compiled executor --------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class _PhaseFactor:
+    """One diagonal gate: its rows of the step's factor table, and the shape
+    those (k, B) rows take to broadcast over the (2,)*n + (B,) view."""
+
+    rows: slice
+    shape: tuple[int, ...]
+
+
 @dataclass
 class _DiagonalSegment:
-    """Maximal run of consecutive diagonal gates, folded into one diagonal."""
+    """Maximal run of consecutive diagonal gates."""
 
-    nominal: np.ndarray  # (N,) complex unit-modulus
-    members: list[tuple[np.ndarray, int]]  # (pattern (N,) intp, draw offset)
+    factors: list[_PhaseFactor]
 
 
 @dataclass
 class _MixingSegment:
-    """Single non-diagonal one-qubit gate."""
+    """Single Hadamard; ``tilt`` indexes the sequence's Hadamards in order."""
 
-    gate: Gate
-    draw_offset: int
+    qubit: int
+    tilt: int
 
 
 @dataclass
 class CompiledCircuit:
     """Execution plan for a GateSequence over (N, batch) amplitude arrays.
 
-    Fusing each run of diagonal gates into a single diagonal keeps the noisy
-    path at one complex exponential per run instead of one per gate; the
-    noise draw layout (slots per gate, in gate order) is unchanged.
+    Each diagonal gate multiplies the (2,)*n + (B,) view of the amplitudes in
+    place by a (2, B) or (2, 2, B) factor broadcast over the qubits it does
+    not touch, so a step takes exponentials of its diagonal gates' draws only
+    (one call over all of them), never of a full (N, B) block.  Each
+    Hadamard updates the two halves of its qubit in place.  Segments group
+    the gates into runs of diagonal gates and single Hadamards.  The noise
+    draw layout (slots per gate, in gate order) is that of the sequence.
     """
 
     n_qubits: int
     segments: list[_DiagonalSegment | _MixingSegment]
     draws_per_step: int
+    #: (S, 1) nominal angle of every diagonal slot, in factor-table order
+    phases: np.ndarray
+    #: (S,) draw row of every diagonal slot, in factor-table order
+    phase_rows: np.ndarray
+    #: (M,) draw row of each Hadamard's polar offset; the azimuth follows it
+    tilt_rows: np.ndarray
 
     def apply(self, amps: np.ndarray, draws: np.ndarray | None = None) -> np.ndarray:
-        """One application of the sequence to (N, B) amplitudes, in place.
+        """One application of the sequence to (N, B) amplitudes.
 
-        ``draws`` has shape (draws_per_step, B); column b holds trajectory
-        b's noise parameters for this application, in gate order.
+        Works in place on a C-contiguous ``amps`` (otherwise on a contiguous
+        copy) and returns the result.  ``draws`` has shape
+        (draws_per_step, B); column b holds trajectory b's noise parameters
+        for this application, in gate order.  ``None`` is the noiseless
+        sequence (all draws zero).
         """
+        if draws is None:
+            draws = np.zeros((self.draws_per_step, 1))
+        factors = np.exp(1j * (self.phases + draws[self.phase_rows]))
+        tilts = tilted_hadamard(draws[self.tilt_rows], draws[self.tilt_rows + 1])
+        amps = np.ascontiguousarray(amps)
+        view = amps.reshape((2,) * self.n_qubits + (amps.shape[1],))
         for seg in self.segments:
-            if isinstance(seg, _DiagonalSegment):
-                if draws is None:
-                    amps *= seg.nominal[:, None]
-                else:
-                    extra = np.zeros(amps.shape, dtype=np.float64)
-                    for pattern, offset in seg.members:
-                        extra += draws[offset:][pattern]
-                    amps *= seg.nominal[:, None] * np.exp(1j * extra)
+            if isinstance(seg, _MixingSegment):
+                _apply_mixing(amps, seg.qubit, tilts[:, :, seg.tilt])
             else:
-                amps = _apply_mixing(amps, seg, self.n_qubits, draws)
+                for f in seg.factors:
+                    view *= factors[f.rows].reshape(f.shape)
         return amps
 
 
-def _apply_mixing(
-    amps: np.ndarray, seg: _MixingSegment, n_qubits: int, draws: np.ndarray | None
-) -> np.ndarray:
-    gate = seg.gate
-    q = gate.qubits[0]
-    batch = amps.shape[1]
-    view = amps.reshape(2 ** (n_qubits - 1 - q), 2, 2**q, batch)
+def _apply_mixing(amps: np.ndarray, q: int, u: np.ndarray) -> None:
+    """(a, b) <- (u00 a + u01 b, u10 a + u11 b) on the halves of qubit q of
+    the (N, B) amplitudes, in place; u has shape (2, 2, B) or (2, 2, 1)."""
+    view = amps.reshape(-1, 2, 2**q, amps.shape[1])
     a, b = view[:, 0], view[:, 1]
-    if draws is None:
-        u = gate.matrix()
-        new_a = u[0, 0] * a + u[0, 1] * b
-        new_b = u[1, 0] * a + u[1, 1] * b
-    else:
-        u00, u01, u10, u11 = _tilted_matrices(gate, draws[seg.draw_offset], draws[seg.draw_offset + 1])
-        new_a = u00 * a + u01 * b
-        new_b = u10 * a + u11 * b
-    view[:, 0], view[:, 1] = new_a, new_b
-    return amps
+    new_a = u[0, 0] * a
+    new_a += u[0, 1] * b
+    np.multiply(u[1, 1], b, out=b)
+    b += u[1, 0] * a
+    a[...] = new_a
 
 
-def _tilted_matrices(gate: Gate, polar: np.ndarray, azimuth: np.ndarray):
-    """Per-trajectory 2x2 entries of the gate rotated about tilted axes.
-
-    Vectorized twin of perturbing one gate at a time: same local frame and
-    the same `i` prefactor for Hadamards.
-    """
-    u = np.asarray(gate.axis, dtype=np.float64)
-    u = u / np.linalg.norm(u)
-    ref = np.array([0.0, 1.0, 0.0]) if abs(u[1]) < 0.9 else np.array([1.0, 0.0, 0.0])
-    e1 = np.cross(ref, u)
-    e1 /= np.linalg.norm(e1)
-    e2 = np.cross(u, e1)
-    sp, cp = np.sin(polar), np.cos(polar)
-    ca, sa = np.cos(azimuth), np.sin(azimuth)
-    ux = sp * ca * e1[0] + sp * sa * e2[0] + cp * u[0]
-    uy = sp * ca * e1[1] + sp * sa * e2[1] + cp * u[1]
-    uz = sp * ca * e1[2] + sp * sa * e2[2] + cp * u[2]
-    c = math.cos(gate.angle / 2.0)
-    s = math.sin(gate.angle / 2.0)
-    u00 = c - 1j * s * uz
-    u01 = -s * uy - 1j * s * ux
-    u10 = s * uy - 1j * s * ux
-    u11 = c + 1j * s * uz
-    if gate.kind is GateKind.HADAMARD:
-        return 1j * u00, 1j * u01, 1j * u10, 1j * u11
-    return u00, u01, u10, u11
-
-
-def _diagonal_pattern(gate: Gate, n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(pattern, nominal phase) arrays over the full basis for one diagonal gate."""
-    idx = np.arange(2**n_qubits)
-    phases = np.asarray(gate.phases, dtype=np.float64)
+def _broadcast_slots(gate: Gate) -> tuple[list[int], tuple[int, ...]]:
+    """Slots of a diagonal gate in the order of the view's axes (highest
+    qubit first), and the shape its (k, B) factor takes over that view."""
     if gate.kind is GateKind.PHASE1:
-        pattern = (idx >> gate.qubits[0]) & 1
-    else:
-        q1, q2 = gate.qubits
-        pattern = ((idx >> q1) & 1) << 1 | ((idx >> q2) & 1)
-    return pattern.astype(np.intp), phases[pattern]
+        return [0, 1], (2,) + (1,) * gate.qubits[0] + (-1,)
+    q1, q2 = gate.qubits
+    hi, lo = max(q1, q2), min(q1, q2)
+    # slot 2*b1 + b2 is read as (b2, b1) when qubits[0] is the lower qubit
+    slots = [0, 1, 2, 3] if q1 > q2 else [0, 2, 1, 3]
+    return slots, (2,) + (1,) * (hi - lo - 1) + (2,) + (1,) * lo + (-1,)
 
 
 def compile_circuit(seq: GateSequence) -> CompiledCircuit:
     segments: list[_DiagonalSegment | _MixingSegment] = []
-    dim = 2**seq.n_qubits
+    phases: list[float] = []
+    phase_rows: list[int] = []
+    tilt_rows: list[int] = []
     offset = 0
-    pending_phase: np.ndarray | None = None
-    pending_members: list[tuple[np.ndarray, int]] = []
-
-    def flush() -> None:
-        nonlocal pending_phase, pending_members
-        if pending_phase is not None:
-            segments.append(
-                _DiagonalSegment(np.exp(1j * pending_phase), pending_members)
-            )
-            pending_phase, pending_members = None, []
-
     for gate in seq.gates:
         if gate.is_diagonal:
-            pattern, nominal = _diagonal_pattern(gate, seq.n_qubits)
-            if pending_phase is None:
-                pending_phase = np.zeros(dim, dtype=np.float64)
-            pending_phase += nominal
-            pending_members.append((pattern, offset))
+            slots, shape = _broadcast_slots(gate)
+            factor = _PhaseFactor(slice(len(phases), len(phases) + len(slots)), shape)
+            if segments and isinstance(segments[-1], _DiagonalSegment):
+                segments[-1].factors.append(factor)
+            else:
+                segments.append(_DiagonalSegment([factor]))
+            phases += [gate.phases[k] for k in slots]
+            phase_rows += [offset + k for k in slots]
         else:
-            flush()
-            segments.append(_MixingSegment(gate, offset))
+            segments.append(_MixingSegment(gate.qubits[0], len(tilt_rows)))
+            tilt_rows.append(offset)
         offset += gate.noise_parameter_count
-    flush()
-    return CompiledCircuit(seq.n_qubits, segments, offset)
+    return CompiledCircuit(
+        seq.n_qubits,
+        segments,
+        offset,
+        np.array(phases, dtype=np.float64)[:, None],
+        np.array(phase_rows, dtype=np.intp),
+        np.array(tilt_rows, dtype=np.intp),
+    )
 
 
 def evolve_circuit(

@@ -12,6 +12,7 @@ from entforge.cli import (
     parse_qubit_list,
 )
 from entforge.core import ValidationError
+from entforge.entanglement import page_value
 
 
 class TestGridSyntax:
@@ -145,6 +146,13 @@ class TestNoiseSweepCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["predictions"]
         assert summary["initial_momentum"] == 1
+        for entry in summary["predictions"]:
+            assert "reference" in entry
+            for name in ("reference", "calibrated"):
+                if name in entry:
+                    pred = entry[name]
+                    expected = page_value(entry["nq"]) - pred["entropy_bound"]["value"]
+                    assert pred["lower_bound"] == pytest.approx(expected, rel=1e-12)
 
 
 class TestThresholdCommand:

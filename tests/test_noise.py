@@ -34,9 +34,9 @@ class TestNoiseModel:
             NoiseModel(-1e-3)
 
     def test_parameter_counts(self):
-        assert NoiseModel.TILT_PARAMS_PER_ONE_QUBIT_GATE == 2
-        assert NoiseModel.PHASE_PARAMS_PER_ONE_QUBIT_DIAGONAL_GATE == 2
-        assert NoiseModel.PHASE_PARAMS_PER_TWO_QUBIT_GATE == 4
+        assert Gate(GateKind.HADAMARD, (0,)).noise_parameter_count == 2
+        assert Gate(GateKind.PHASE1, (0,), (0.0, 0.1)).noise_parameter_count == 2
+        assert Gate(GateKind.PHASE2, (0, 1), (0.0, 0.0, 0.0, 0.5)).noise_parameter_count == 4
 
 
 class TestNoiseRealization:

@@ -3,12 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from entforge.core import StateVector, ValidationError
+from entforge.core import (
+    StateVector,
+    ValidationError,
+    apply_one_qubit_gate,
+    apply_two_qubit_phase,
+)
+from entforge.noise import NoiseRealization, perturb_one_qubit_gate, perturb_phase_gate
 from entforge.sawtooth import (
     Gate,
     GateKind,
     MapParams,
     build_step_circuit,
+    compile_circuit,
     evolve_circuit,
     evolve_exact,
     inverse_participation_ratio,
@@ -199,6 +206,58 @@ class TestEvolveCircuit:
         params = MapParams(6)
         out = evolve_circuit(random_state(6, 5), build_step_circuit(params), 30)
         assert abs(np.linalg.norm(out.amplitudes) - 1) < 1e-9
+
+
+def gate_by_gate_step(psi: StateVector, gates, draws) -> StateVector:
+    """One step through the slow single-state path, one gate at a time.
+
+    ``draws`` is one column of the compiled kernel's draws (None: noiseless),
+    consumed in gate order with each gate's own parameter count.
+    """
+    offset = 0
+    for g in gates:
+        k = g.noise_parameter_count
+        d = None if draws is None else draws[offset : offset + k]
+        offset += k
+        if g.kind is GateKind.PHASE2:
+            phases = np.asarray(g.phases) + (0.0 if d is None else d)
+            psi = apply_two_qubit_phase(psi, g.qubits[0], g.qubits[1], phases)
+        elif d is None:
+            psi = apply_one_qubit_gate(psi, g.qubits[0], g.matrix())
+        elif g.is_diagonal:
+            psi = apply_one_qubit_gate(psi, g.qubits[0], perturb_phase_gate(g, d))
+        else:
+            psi = apply_one_qubit_gate(psi, g.qubits[0], perturb_one_qubit_gate(g, d))
+    return psi
+
+
+class TestCompiledCircuitReference:
+    """The compiled (N, B) kernel against the gate-by-gate slow path."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    @pytest.mark.parametrize("n_q", [2, 3, 4, 5])
+    def test_apply_matches_gate_by_gate(self, n_q, noisy):
+        seq = build_step_circuit(MapParams(n_q))
+        compiled = compile_circuit(seq)
+        batch, steps, eps = 3, 2, 0.05
+        columns = [random_state(n_q, 300 + b) for b in range(batch)]
+        draws = np.stack(
+            [
+                NoiseRealization(7, r).uniform_draws(eps, (steps, compiled.draws_per_step))
+                for r in range(batch)
+            ],
+            axis=-1,
+        )  # (steps, draws_per_step, batch), distinct per column
+        amps = np.stack([c.amplitudes for c in columns], axis=1)
+        for step in range(steps):
+            amps = compiled.apply(amps, draws[step] if noisy else None)
+            columns = [
+                gate_by_gate_step(c, seq.gates, draws[step][:, b] if noisy else None)
+                for b, c in enumerate(columns)
+            ]
+        expected = np.stack([c.amplitudes for c in columns], axis=1)
+        np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
+        assert not np.allclose(amps[:, 0], amps[:, 1])
 
 
 class TestChaosSanity:
