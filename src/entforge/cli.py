@@ -47,20 +47,19 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NO_BRACKET = 3
 
-#: config keys accepted in files and their flag equivalents
+#: keys accepted in config files; each names a flag, with ``_`` for ``-``
 CONFIG_KEYS = {
-    "nq": "nq",
-    "k_param": "k_param",
-    "steps": "steps",
-    "eps_grid": "eps_grid",
-    "realizations": "realizations",
-    "seed": "seed",
-    "workers": "workers",
-    "out": "out",
-    "strict": "strict",
-    "refine": "refine",
-    "haar_samples": "haar_samples",
-    "fraction": "fraction",
+    "nq",
+    "k_param",
+    "steps",
+    "eps_grid",
+    "realizations",
+    "seed",
+    "out",
+    "strict",
+    "refine",
+    "haar_samples",
+    "fraction",
 }
 
 COMMAND_DEFAULTS = {
@@ -139,7 +138,6 @@ def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, dict
     steps = pick("steps", args.steps, int)
     grid_spec = pick("eps_grid", args.eps_grid, str)
     realizations = pick("realizations", args.realizations, str)
-    workers = pick("workers", args.workers, int)
     strict = pick("strict", True if args.strict else None, lambda v: v.lower() == "true")
     refine = pick("refine", True if args.refine else None, lambda v: v.lower() == "true")
     haar_samples = pick("haar_samples", args.haar_samples, int)
@@ -169,7 +167,6 @@ def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, dict
         epsilon_grid=grid,
         n_realizations=n_realizations,
         master_seed=seed,
-        workers=workers,
         strict=bool(strict),
         refine_threshold=bool(refine),
         haar_samples=haar_samples if haar_samples is not None else 64,
@@ -244,7 +241,6 @@ def _finish(command, config, out_dir, data_files, summary, started) -> None:
             "steps": config.steps,
             "epsilon_grid": [_fmt(e) for e in config.epsilon_grid],
             "n_realizations": config.n_realizations,
-            "workers": config.workers,
             "strict": config.strict,
             "refine_threshold": config.refine_threshold,
             "haar_samples": config.haar_samples,
@@ -540,7 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
             "--realizations", help="trajectories per grid point, or 'auto'"
         )
         cmd.add_argument("--seed", type=int, help="master seed")
-        cmd.add_argument("--workers", type=int, help="thread cap for spectrum eigensolves")
         cmd.add_argument("--out", help="output directory")
         cmd.add_argument("--strict", action="store_true", default=None)
         cmd.add_argument("--refine", action="store_true", default=None,

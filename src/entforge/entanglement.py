@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,6 +70,7 @@ class MixedSpectrum:
     upper: list[EntanglementSample]
     lower_stats: EntanglementStats
     upper_stats: EntanglementStats
+    total_entropy: float  # S(rho), shared by every lower bound
 
 
 def enumerate_balanced_bipartitions(n_q: int) -> list[Bipartition]:
@@ -117,15 +117,12 @@ def histogram(samples, bin_width: float) -> Histogram:
     return Histogram(edges, density, bin_width)
 
 
-def pure_spectrum(state: StateVector, workers: int | None = None) -> list[EntanglementSample]:
+def pure_spectrum(state: StateVector) -> list[EntanglementSample]:
     """Reduced-state entropy for every balanced bipartition of a pure state."""
-    parts = enumerate_balanced_bipartitions(state.n_qubits)
-
-    def entropy_of(part: Bipartition) -> float:
-        return von_neumann_entropy(reduced_density_matrix(state, part))
-
-    values = _map_over(parts, entropy_of, workers)
-    return [EntanglementSample(p, v) for p, v in zip(parts, values)]
+    return [
+        EntanglementSample(p, von_neumann_entropy(reduced_density_matrix(state, p)))
+        for p in enumerate_balanced_bipartitions(state.n_qubits)
+    ]
 
 
 def page_value(n_q: int) -> float:
@@ -175,31 +172,22 @@ def distillable_bounds(rho: DensityMatrix, part: Bipartition) -> tuple[float, fl
     return lower, upper
 
 
-def mixed_spectrum(rho: DensityMatrix, workers: int | None = None) -> MixedSpectrum:
-    """Distillable-entanglement bounds over every balanced bipartition.
+def mixed_spectrum(rho: DensityMatrix) -> MixedSpectrum:
+    """Distillable-entanglement bounds over every balanced bipartition, in
+    bipartition enumeration order.
 
-    The N x N eigendecompositions per bipartition dominate the cost for
-    n_q >= 10, so bipartitions are distributed over a thread pool; output
-    ordering is by bipartition mask regardless of scheduling.
+    The N x N eigendecomposition of each partial transpose dominates the
+    cost; the noise sweep runs one call per density matrix in a process
+    pool (``experiments.spectrum_pool``).
     """
     parts = enumerate_balanced_bipartitions(rho.n_qubits)
     s_total = von_neumann_entropy(rho)
-
-    def bounds_of(part: Bipartition) -> tuple[float, float]:
+    lower, upper = [], []
+    for part in parts:
         s_a = von_neumann_entropy(reduced_density_matrix(rho, part))
-        return max(s_a - s_total, 0.0), log_negativity(rho, part)
-
-    pairs = _map_over(parts, bounds_of, workers)
-    lower = [EntanglementSample(p, lo) for p, (lo, _) in zip(parts, pairs)]
-    upper = [EntanglementSample(p, up) for p, (_, up) in zip(parts, pairs)]
-    return MixedSpectrum(lower, upper, stats(lower), stats(upper))
-
-
-def _map_over(items, fn, workers: int | None):
-    if workers is None or workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+        lower.append(EntanglementSample(part, max(s_a - s_total, 0.0)))
+        upper.append(EntanglementSample(part, log_negativity(rho, part)))
+    return MixedSpectrum(lower, upper, stats(lower), stats(upper), s_total)
 
 
 # --- analytic predictions -----------------------------------------------------

@@ -16,15 +16,19 @@ averaging there would multiply the trajectory cost).
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ValidationError, von_neumann_entropy
+from .core import DensityMatrix, ValidationError
 from .entanglement import (
     enumerate_balanced_bipartitions,
     histogram,
     Histogram,
+    MixedSpectrum,
     haar_random_state,
     mixed_spectrum,
     page_value,
@@ -32,7 +36,14 @@ from .entanglement import (
     pure_spectrum,
     stats,
 )
-from .noise import derive_seed, recommend_realizations, run_trajectories
+from .noise import (
+    DEFAULT_BATCH_COUNT,
+    batch_slices,
+    derive_seed,
+    recommend_realizations,
+    require_memory,
+    run_trajectories,
+)
 from .sawtooth import (
     MapParams,
     build_step_circuit,
@@ -49,6 +60,10 @@ DEFAULT_INITIAL_MOMENTUM = 1
 GENERATION_ENSEMBLE = 32
 #: relative drift between half- and full-sample means flagged as unconverged
 CONVERGENCE_DRIFT = 0.02
+#: N x N matrices one spectrum worker holds at its peak: the received rho, a
+#: partial transpose and the eigensolver's symmetry-check and input copies
+WORKER_MATRICES = 4
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @dataclass(frozen=True)
@@ -61,7 +76,6 @@ class ExperimentConfig:
     epsilon_grid: tuple[float, ...] = ()
     n_realizations: int | str = "auto"
     master_seed: int = 0
-    workers: int | None = None
     strict: bool = False
     refine_threshold: bool = False
     haar_samples: int = 64
@@ -199,7 +213,6 @@ def run_generation(config: ExperimentConfig) -> GenerationResult:
     taus = []
     for n_q in config.qubit_range:
         params = MapParams(n_q, config.k_param)
-        parts = enumerate_balanced_bipartitions(n_q)
         states = generation_ensemble(params)
         table = np.zeros((len(states), config.steps + 1))
         for i, state in enumerate(states):
@@ -207,7 +220,7 @@ def run_generation(config: ExperimentConfig) -> GenerationResult:
             for t in range(config.steps + 1):
                 if t > 0:
                     current = evolve_exact(current, params, 1)
-                table[i, t] = stats(pure_spectrum(current, config.workers)).mean
+                table[i, t] = stats(pure_spectrum(current)).mean
         mean_entropy = table.mean(axis=0)
         target = page_value(n_q)
         deviation = np.abs(target - mean_entropy)
@@ -250,10 +263,10 @@ class SpectrumResult:
     rate_fits: dict[str, FitResult]  # family -> fit of relative_std vs n_q
 
 
-def _spectrum_family(n_q, family, state_list, workers) -> SpectrumFamily:
+def _spectrum_family(n_q, family, state_list) -> SpectrumFamily:
     pooled, masks, rels = [], [], []
     for state in state_list:
-        samples = pure_spectrum(state, workers)
+        samples = pure_spectrum(state)
         values = [s.value for s in samples]
         pooled.extend(values)
         masks.extend(s.bipartition.a_mask for s in samples)
@@ -286,14 +299,12 @@ def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
             evolve_exact(state, params, config.steps)
             for state in generation_ensemble(params)
         ]
-        families[(n_q, "sawtooth")] = _spectrum_family(
-            n_q, "sawtooth", evolved, config.workers
-        )
+        families[(n_q, "sawtooth")] = _spectrum_family(n_q, "sawtooth", evolved)
         haar_states = [
             haar_random_state(n_q, derive_seed(config.master_seed, "haar", n_q, i))
             for i in range(config.haar_samples)
         ]
-        families[(n_q, "haar")] = _spectrum_family(n_q, "haar", haar_states, config.workers)
+        families[(n_q, "haar")] = _spectrum_family(n_q, "haar", haar_states)
     rate_fits = {}
     for family in ("sawtooth", "haar"):
         pts = [
@@ -349,16 +360,58 @@ class NoiseSweepResult:
         return sorted(rows, key=lambda r: r.epsilon)
 
 
-def _bound_stats_rows(n_q, time, eps, snapshot, n_real, workers):
-    spec = mixed_spectrum(snapshot.rho, workers)
-    margin = min(
-        up.value - lo.value for lo, up in zip(spec.lower, spec.upper)
-    )
-    batch_means = {"lower": [], "upper": []}
-    for rho in snapshot.batch_rhos:
-        bspec = mixed_spectrum(rho, workers)
-        batch_means["lower"].append(bspec.lower_stats.mean)
-        batch_means["upper"].append(bspec.upper_stats.mean)
+def available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+@contextmanager
+def spectrum_pool(n_q: int, n_times: int):
+    """Worker processes for mixed spectra, one BLAS thread each.
+
+    A single eigensolve gains nothing from a second BLAS thread here, and
+    Python threads serialize on it, so the spectra of one point run one per
+    process: min(available CPUs, 1 + DEFAULT_BATCH_COUNT) workers, the
+    ``spawn`` method (a forked child inherits the parent's BLAS threads).
+    The workers start now, so their start-up overlaps the caller's
+    trajectories.  Before that, a trajectory run at ``n_q`` with
+    ``n_times`` snapshot times plus the workers' copies must fit in memory
+    (``noise.require_memory``).
+    """
+    size = min(available_cpus(), 1 + DEFAULT_BATCH_COUNT)
+    require_memory(n_q, n_times, extra_matrices=WORKER_MATRICES * size)
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:  # a spawn pool starts every worker in its constructor
+        pool = multiprocessing.get_context("spawn").Pool(size)
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+    with pool:
+        yield pool
+
+
+def _spectrum_task(rho: DensityMatrix) -> MixedSpectrum:
+    return mixed_spectrum(rho)
+
+
+def pooled_spectra(pool, rhos) -> list[MixedSpectrum]:
+    """``mixed_spectrum`` of each density matrix, one pool task per matrix,
+    in input order."""
+    return pool.map(_spectrum_task, rhos, chunksize=1)
+
+
+def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
+    batch_means = {
+        "lower": [b.lower_stats.mean for b in batch_specs],
+        "upper": [b.upper_stats.mean for b in batch_specs],
+    }
     half = {}
     for kind in ("lower", "upper"):
         k = max(1, len(batch_means[kind]) // 2)
@@ -382,17 +435,30 @@ def _bound_stats_rows(n_q, time, eps, snapshot, n_real, workers):
                 bool(drift <= CONVERGENCE_DRIFT),
             )
         )
-    return rows, margin
+    return rows
+
+
+def _snapshot_times(config: ExperimentConfig, snapshot_times) -> list[int]:
+    return sorted(set(snapshot_times if snapshot_times is not None else [config.steps]))
 
 
 def run_noise_sweep(
     config: ExperimentConfig, snapshot_times: list[int] | None = None
 ) -> NoiseSweepResult:
     """Distillable-entanglement bound means over balanced bipartitions as a
-    function of the noise amplitude, with batch-means error bars."""
+    function of the noise amplitude, with batch-means error bars.
+
+    The spectra run in a ``spectrum_pool``, so a script calling this needs
+    an ``if __name__ == "__main__":`` guard.
+    """
     if not config.epsilon_grid:
         raise ValidationError("noise sweep needs a nonempty epsilon grid")
-    times = sorted(set(snapshot_times if snapshot_times is not None else [config.steps]))
+    times = _snapshot_times(config, snapshot_times)
+    with spectrum_pool(max(config.qubit_range), len(times)) as pool:
+        return _noise_sweep(config, times, pool)
+
+
+def _noise_sweep(config: ExperimentConfig, times: list[int], pool) -> NoiseSweepResult:
     bound_rows: list[BoundRow] = []
     fidelity_rows: list[FidelityRow] = []
     pure_reference: dict[tuple[int, int, str], float] = {}
@@ -404,7 +470,7 @@ def run_noise_sweep(
         parts = enumerate_balanced_bipartitions(n_q)
         for t in times:
             ideal = evolve_exact(init, params, t)
-            pure_reference[(n_q, t, "lower")] = stats(pure_spectrum(ideal, config.workers)).mean
+            pure_reference[(n_q, t, "lower")] = stats(pure_spectrum(ideal)).mean
             pure_reference[(n_q, t, "upper")] = float(
                 np.mean([pure_log_negativity(ideal, p) for p in parts])
             )
@@ -424,14 +490,15 @@ def run_noise_sweep(
             )
             for t in times:
                 snap = result.snapshots[t]
-                rows, margin = _bound_stats_rows(
-                    n_q, t, eps, snap, n_real, config.workers
+                spec, *batch_specs = pooled_spectra(pool, [snap.rho, *snap.batch_rhos])
+                bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
+                ordering_margin[(n_q, t, eps)] = min(
+                    up.value - lo.value for lo, up in zip(spec.lower, spec.upper)
                 )
-                bound_rows.extend(rows)
-                ordering_margin[(n_q, t, eps)] = margin
-                total_entropy[(n_q, t, eps)] = von_neumann_entropy(snap.rho)
-                fid_batches = np.array_split(snap.fidelities, min(8, n_real))
-                fid_means = np.asarray([b.mean() for b in fid_batches if b.size])
+                total_entropy[(n_q, t, eps)] = spec.total_entropy
+                fid_means = np.asarray(
+                    [snap.fidelities[sl].mean() for sl in batch_slices(n_real, DEFAULT_BATCH_COUNT)]
+                )
                 fid_err = (
                     float(fid_means.std(ddof=1) / math.sqrt(fid_means.size))
                     if fid_means.size > 1
@@ -499,13 +566,25 @@ def find_threshold(
     eps=0 value, with a power-law fit of threshold vs register size.
 
     With ``refine_threshold`` set, one extra simulation at the interpolated
-    amplitude tightens the bracket before the final interpolation.
+    amplitude tightens the bracket before the final interpolation.  Spectra
+    run in a ``spectrum_pool``, as in ``run_noise_sweep``.
     """
     fraction = config.threshold_fraction if fraction is None else fraction
     kinds = ("lower", "upper") if bound_kind == "both" else (bound_kind,)
-    times = sorted(set(snapshot_times if snapshot_times is not None else [config.steps]))
-    if sweep is None:
-        sweep = run_noise_sweep(config, snapshot_times=times)
+    times = _snapshot_times(config, snapshot_times)
+    if sweep is None and not config.epsilon_grid:
+        raise ValidationError("noise sweep needs a nonempty epsilon grid")
+    needs_pool = sweep is None or config.refine_threshold
+    pool_context = (
+        spectrum_pool(max(config.qubit_range), len(times)) if needs_pool else nullcontext()
+    )
+    with pool_context as pool:
+        if sweep is None:
+            sweep = _noise_sweep(config, times, pool)
+        return _thresholds(config, kinds, fraction, times, sweep, pool)
+
+
+def _thresholds(config, kinds, fraction, times, sweep, pool) -> ThresholdResult:
     rows: list[ThresholdRow] = []
     fits: dict[tuple[int, str], FitResult] = {}
     for t in times:
@@ -519,7 +598,7 @@ def find_threshold(
                 method = "interpolated"
                 if config.refine_threshold:
                     eps_star, method = _refine_threshold(
-                        config, n_q, t, kind, curve, target, eps_star
+                        config, pool, n_q, t, kind, curve, target, eps_star
                     )
                 rows.append(ThresholdRow(n_q, t, kind, eps_star, method))
             pts = [
@@ -532,7 +611,7 @@ def find_threshold(
     return ThresholdResult(rows, fits, sweep)
 
 
-def _refine_threshold(config, n_q, t, kind, curve, target, eps_star):
+def _refine_threshold(config, pool, n_q, t, kind, curve, target, eps_star):
     params = MapParams(n_q, config.k_param)
     init = momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM)
     seed = derive_seed(config.master_seed, "noise-sweep", n_q, f"{eps_star:.17g}")
@@ -545,7 +624,7 @@ def _refine_threshold(config, n_q, t, kind, curve, target, eps_star):
         init,
         snapshot_times=[t],
     )
-    spec = mixed_spectrum(result.snapshots[t].rho, config.workers)
+    (spec,) = pooled_spectra(pool, [result.snapshots[t].rho])
     mean = spec.lower_stats.mean if kind == "lower" else spec.upper_stats.mean
     refined_curve = sorted(curve + [(eps_star, mean)])
     return interpolate_threshold(refined_curve, target), "refined"
@@ -573,7 +652,7 @@ def calibrate_gamma(
     convention 3 n_q^2 + n_q."""
     if not config.epsilon_grid:
         raise ValidationError("gamma calibration needs a nonempty epsilon grid")
-    times = sorted(set(snapshot_times if snapshot_times is not None else [config.steps]))
+    times = _snapshot_times(config, snapshot_times)
     points: list[tuple[int, int, float, float]] = []
     if sweep is None:
         for n_q in config.qubit_range:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,39 @@ class TrajectoryResult:
         return self.snapshots[max(self.snapshots)]
 
 
-def _batch_slices(n: int, batches: int) -> list[slice]:
+def physical_memory_bytes() -> int:
+    """Installed memory of the machine, as the operating system reports it."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def require_memory(
+    n_q: int,
+    n_times: int,
+    batch_count: int = DEFAULT_BATCH_COUNT,
+    extra_matrices: int = 0,
+) -> None:
+    """Refuse a trajectory run whose N x N matrices would not fit in memory.
+
+    ``run_trajectories`` holds, per snapshot time, ``batch_count + 1``
+    accumulators and as many finished density matrices (the batch rhos and
+    rho); ``extra_matrices`` counts copies held elsewhere meanwhile, such as
+    the spectrum workers'.  Two snapshot times at n_q = 12 need ~9.7 GB.
+    """
+    matrices = 2 * (batch_count + 1) * n_times + extra_matrices
+    matrix_bytes = 16 * 4**n_q  # complex128, N x N
+    needed = matrices * matrix_bytes
+    available = physical_memory_bytes()
+    if needed > available:
+        raise ValidationError(
+            f"n_q = {n_q} with {n_times} snapshot time(s) needs ~{needed / 1e9:.1f} GB "
+            f"for {matrices} N x N matrices of {matrix_bytes / 1e6:.0f} MB each; "
+            f"this machine has {available / 1e9:.1f} GB"
+        )
+
+
+def batch_slices(n: int, batches: int) -> list[slice]:
+    """Contiguous slices of ``range(n)`` into min(batches, n) near-equal
+    batches, the larger ones first (the sizes of ``np.array_split``)."""
     batches = min(batches, n)
     base, extra = divmod(n, batches)
     slices, start = [], 0
@@ -172,6 +205,7 @@ def run_trajectories(
     times = sorted(set(snapshot_times if snapshot_times is not None else [t]))
     if not times or times[-1] > t or times[0] < 0:
         raise ValidationError("snapshot times must lie in [0, t]")
+    require_memory(params.n_q, len(times), batch_count)
     if circuit is None:
         circuit = build_step_circuit(params)
     compiled = circuit._compiled
@@ -199,7 +233,7 @@ def run_trajectories(
             )
         return result
 
-    slices = _batch_slices(n_realizations, batch_count)
+    slices = batch_slices(n_realizations, batch_count)
     accumulators = {s: [ProjectorAccumulator(params.n_q) for _ in slices] for s in times}
     fidelities = {s: np.empty(n_realizations) for s in times}
     draws_per_step = compiled.draws_per_step

@@ -47,6 +47,13 @@ class TestConfigFile:
         assert code == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_removed_workers_key_is_error(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("nq = 4\nworkers = 2\n")
+        code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "unknown config key 'workers'" in capsys.readouterr().err
+
     def test_flags_override_file_with_warning(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("steps = 9\nnq = 4\n")

@@ -73,12 +73,6 @@ class TestPureSpectrum:
         mean = stats(pure_spectrum(state)).mean
         assert abs(mean - 3.27865) < 0.1
 
-    def test_workers_do_not_change_result(self):
-        state = haar_random_state(6, 3)
-        a = [s.value for s in pure_spectrum(state)]
-        b = [s.value for s in pure_spectrum(state, workers=4)]
-        np.testing.assert_allclose(a, b, atol=0)
-
 
 class TestPageValue:
     @pytest.mark.parametrize(

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from entforge.core import ValidationError
+from entforge import experiments, noise
+from entforge.cli import EXIT_OK, main
+from entforge.core import ValidationError, von_neumann_entropy
+from entforge.entanglement import mixed_spectrum
 from entforge.experiments import (
     ExperimentConfig,
     ThresholdBracketError,
@@ -13,10 +16,14 @@ from entforge.experiments import (
     fit_linear,
     fit_power_law,
     interpolate_threshold,
+    pooled_spectra,
     run_generation,
     run_noise_sweep,
     run_spectrum,
+    spectrum_pool,
 )
+from entforge.noise import run_trajectories
+from entforge.sawtooth import MapParams, momentum_basis_state
 
 
 class TestConfig:
@@ -211,6 +218,49 @@ class TestNoiseSweepAndThreshold:
         again = run_noise_sweep(cfg)
         for a, b in zip(result.bound_rows, again.bound_rows):
             assert a == b
+
+
+class TestSpectrumPool:
+    @pytest.mark.parametrize("n_q", [4, 6])
+    def test_pooled_spectra_match_in_process(self, n_q):
+        params = MapParams(n_q)
+        snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
+        rhos = [snap.rho, *snap.batch_rhos]
+        with spectrum_pool(n_q, 1) as pool:
+            pooled = pooled_spectra(pool, rhos)
+        assert len(pooled) == len(rhos)
+        for rho, got in zip(rhos, pooled):
+            want = mixed_spectrum(rho)
+            for side in ("lower", "upper"):
+                got_side, want_side = getattr(got, side), getattr(want, side)
+                assert [s.bipartition for s in got_side] == [s.bipartition for s in want_side]
+                np.testing.assert_allclose(
+                    [s.value for s in got_side], [s.value for s in want_side], rtol=0, atol=1e-12
+                )
+            assert got.total_entropy == pytest.approx(von_neumann_entropy(rho), rel=0, abs=1e-12)
+            assert got.total_entropy > 0.01  # noisy, so genuinely mixed
+
+    def test_pool_size_does_not_change_csvs(self, tmp_path, monkeypatch):
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "available_cpus", lambda: cpus)
+            with spectrum_pool(4, 1) as pool:
+                assert pool._processes == cpus
+            out = tmp_path / f"cpus{cpus}"
+            argv = ["noise-sweep", "--nq", "4", "--eps-grid", "3e-3,3e-2", "--steps", "6",
+                    "--realizations", "40", "--out", str(out)]
+            assert main(argv) == EXIT_OK
+            written.append({n: (out / n).read_bytes() for n in ("noise_sweep.csv", "fidelity.csv")})
+        assert written[0] == written[1]
+
+    def test_sweep_counts_worker_copies_in_memory_guard(self, monkeypatch):
+        # room for one trajectory run at n_q = 4 (18 matrices) but not for
+        # the copies of two workers besides
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 20 * 16 * 4**4)
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
+        cfg = ExperimentConfig(qubit_range=(4,), steps=4, epsilon_grid=(1e-2,), n_realizations=16)
+        with pytest.raises(ValidationError, match="26 N x N matrices"):
+            run_noise_sweep(cfg)
 
 
 class TestCalibrateGamma:

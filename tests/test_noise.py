@@ -3,14 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from entforge import noise
 from entforge.core import StateVector, ValidationError, fidelity
 from entforge.noise import (
     NoiseModel,
     NoiseRealization,
+    batch_slices,
     derive_seed,
     perturb_one_qubit_gate,
     perturb_phase_gate,
     recommend_realizations,
+    require_memory,
     run_trajectories,
 )
 from entforge.sawtooth import (
@@ -231,6 +234,40 @@ class TestRunTrajectories:
         params = MapParams(2)
         with pytest.raises(ValidationError):
             run_trajectories(params, 1, 1e-3, 0, 0, momentum_basis_state(params))
+
+
+class TestBatchSlices:
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 48, 1027])
+    def test_same_batches_as_array_split(self, n):
+        values = np.arange(n)
+        expected = np.array_split(values, min(8, n))
+        got = [values[sl] for sl in batch_slices(n, 8)]
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g, e)
+
+
+class TestMemoryGuard:
+    def test_estimate_nq12_two_times(self, monkeypatch):
+        # 2 times x 18 matrices x 268 MB; nothing of that size is allocated
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 7 * 10**9)
+        with pytest.raises(ValidationError, match=r"needs ~9\.7 GB for 36 N x N matrices"):
+            require_memory(12, 2)
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10 * 10**9)
+        require_memory(12, 2)
+
+    def test_extra_matrices_count(self, monkeypatch):
+        per_matrix = 16 * 4**4
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 20 * per_matrix)
+        require_memory(4, 1)  # 18 matrices
+        with pytest.raises(ValidationError):
+            require_memory(4, 1, extra_matrices=3)
+
+    def test_run_trajectories_refuses_before_work(self, monkeypatch):
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10**4)
+        params = MapParams(4)
+        with pytest.raises(ValidationError, match="this machine has"):
+            run_trajectories(params, 3, 1e-2, 16, 0, momentum_basis_state(params))
 
 
 class TestFidelityDecayLaw:
