@@ -306,12 +306,8 @@ def fidelity(ideal: StateVector, rho: DensityMatrix) -> float:
 
 
 class ProjectorAccumulator:
-    """Weighted sum of pure-state projectors.
-
-    Supports associative merging of partial accumulators, so a Monte-Carlo
-    average can be built across workers; once the accumulated weight reaches
-    1 the content is a valid density matrix.
-    """
+    """Weighted sum of pure-state projectors; once the accumulated weight
+    reaches 1 the content is a valid density matrix."""
 
     def __init__(self, n_qubits: int):
         self.n_qubits = n_qubits
@@ -333,12 +329,6 @@ class ProjectorAccumulator:
             raise ValidationError("weight must be positive")
         self.matrix += weight_each * (amplitude_columns @ amplitude_columns.conj().T)
         self.total_weight += weight_each * amplitude_columns.shape[1]
-
-    def merge(self, other: ProjectorAccumulator) -> None:
-        if other.n_qubits != self.n_qubits:
-            raise ValidationError("accumulator dimensions differ")
-        self.matrix += other.matrix
-        self.total_weight += other.total_weight
 
     def finalize(self, validate: bool = True) -> DensityMatrix:
         """Return the accumulated mixture as a density matrix."""

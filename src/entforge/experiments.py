@@ -38,7 +38,7 @@ from .entanglement import (
 )
 from .noise import (
     DEFAULT_BATCH_COUNT,
-    batch_slices,
+    batch_rho,
     derive_seed,
     recommend_realizations,
     require_memory,
@@ -60,9 +60,6 @@ DEFAULT_INITIAL_MOMENTUM = 1
 GENERATION_ENSEMBLE = 32
 #: relative drift between half- and full-sample means flagged as unconverged
 CONVERGENCE_DRIFT = 0.02
-#: N x N matrices one spectrum worker holds at its peak: the received rho, a
-#: partial transpose and the eigensolver's symmetry-check and input copies
-WORKER_MATRICES = 4
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -369,7 +366,7 @@ def available_cpus() -> int:
 
 
 @contextmanager
-def spectrum_pool(n_q: int, n_times: int):
+def spectrum_pool(n_q: int, n_times: int, n_realizations: int | None = None):
     """Worker processes for mixed spectra, one BLAS thread each.
 
     A single eigensolve gains nothing from a second BLAS thread here, and
@@ -378,11 +375,14 @@ def spectrum_pool(n_q: int, n_times: int):
     ``spawn`` method (a forked child inherits the parent's BLAS threads).
     The workers start now, so their start-up overlaps the caller's
     trajectories.  Before that, a trajectory run at ``n_q`` with
-    ``n_times`` snapshot times plus the workers' copies must fit in memory
+    ``n_times`` snapshot times and ``n_realizations`` (default: the "auto"
+    count) plus the workers' copies must fit in memory
     (``noise.require_memory``).
     """
     size = min(available_cpus(), 1 + DEFAULT_BATCH_COUNT)
-    require_memory(n_q, n_times, extra_matrices=WORKER_MATRICES * size)
+    if n_realizations is None:
+        n_realizations = recommend_realizations(n_q, "upper")
+    require_memory(n_q, n_times, n_realizations, workers=size)
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:  # a spawn pool starts every worker in its constructor
@@ -397,14 +397,30 @@ def spectrum_pool(n_q: int, n_times: int):
         yield pool
 
 
-def _spectrum_task(rho: DensityMatrix) -> MixedSpectrum:
-    return mixed_spectrum(rho)
+def _spectrum_task(task) -> MixedSpectrum:
+    if isinstance(task, DensityMatrix):
+        return mixed_spectrum(task)
+    return mixed_spectrum(batch_rho(*task))
 
 
-def pooled_spectra(pool, rhos) -> list[MixedSpectrum]:
-    """``mixed_spectrum`` of each density matrix, one pool task per matrix,
-    in input order."""
-    return pool.map(_spectrum_task, rhos, chunksize=1)
+def pooled_spectra(pool, tasks) -> list[MixedSpectrum]:
+    """``mixed_spectrum`` of each task, one pool task each, in input order.
+
+    A task is a density matrix, or a batch's (N, B) amplitude columns with
+    the run's realization count, whose ``noise.batch_rho`` the worker forms.
+    """
+    return pool.map(_spectrum_task, tasks, chunksize=1)
+
+
+def snapshot_spectra(pool, snap) -> tuple[MixedSpectrum, list[MixedSpectrum]]:
+    """Spectra of a snapshot's rho and of its batch rhos.  A noiseless
+    snapshot's batch rhos are rho itself, so its one spectrum serves all."""
+    if snap.noiseless:
+        (spec,) = pooled_spectra(pool, [snap.rho])
+        return spec, [spec] * len(snap.batch_slices)
+    batches = [(snap.amplitudes[:, sl], snap.n_realizations) for sl in snap.batch_slices]
+    spec, *batch_specs = pooled_spectra(pool, [snap.rho, *batches])
+    return spec, batch_specs
 
 
 def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
@@ -454,7 +470,8 @@ def run_noise_sweep(
     if not config.epsilon_grid:
         raise ValidationError("noise sweep needs a nonempty epsilon grid")
     times = _snapshot_times(config, snapshot_times)
-    with spectrum_pool(max(config.qubit_range), len(times)) as pool:
+    n_q = max(config.qubit_range)
+    with spectrum_pool(n_q, len(times), config.realizations_for(n_q)) as pool:
         return _noise_sweep(config, times, pool)
 
 
@@ -490,14 +507,14 @@ def _noise_sweep(config: ExperimentConfig, times: list[int], pool) -> NoiseSweep
             )
             for t in times:
                 snap = result.snapshots[t]
-                spec, *batch_specs = pooled_spectra(pool, [snap.rho, *snap.batch_rhos])
+                spec, batch_specs = snapshot_spectra(pool, snap)
                 bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
                 ordering_margin[(n_q, t, eps)] = min(
                     up.value - lo.value for lo, up in zip(spec.lower, spec.upper)
                 )
                 total_entropy[(n_q, t, eps)] = spec.total_entropy
                 fid_means = np.asarray(
-                    [snap.fidelities[sl].mean() for sl in batch_slices(n_real, DEFAULT_BATCH_COUNT)]
+                    [snap.fidelities[sl].mean() for sl in snap.batch_slices]
                 )
                 fid_err = (
                     float(fid_means.std(ddof=1) / math.sqrt(fid_means.size))
@@ -575,8 +592,11 @@ def find_threshold(
     if sweep is None and not config.epsilon_grid:
         raise ValidationError("noise sweep needs a nonempty epsilon grid")
     needs_pool = sweep is None or config.refine_threshold
+    n_q = max(config.qubit_range)
     pool_context = (
-        spectrum_pool(max(config.qubit_range), len(times)) if needs_pool else nullcontext()
+        spectrum_pool(n_q, len(times), config.realizations_for(n_q))
+        if needs_pool
+        else nullcontext()
     )
     with pool_context as pool:
         if sweep is None:
@@ -654,6 +674,7 @@ def calibrate_gamma(
         raise ValidationError("gamma calibration needs a nonempty epsilon grid")
     times = _snapshot_times(config, snapshot_times)
     points: list[tuple[int, int, float, float]] = []
+    gate_counts: dict[int, int] = {}
     if sweep is None:
         for n_q in config.qubit_range:
             params = MapParams(n_q, config.k_param)
@@ -664,6 +685,7 @@ def calibrate_gamma(
                 else int(config.n_realizations)
             )
             circuit = build_step_circuit(params)
+            gate_counts[n_q] = circuit.gate_count
             for eps in config.epsilon_grid:
                 seed = derive_seed(config.master_seed, "gamma", n_q, f"{eps:.17g}")
                 result = run_trajectories(
@@ -681,14 +703,15 @@ def calibrate_gamma(
     else:
         for row in sweep.fidelity_rows:
             points.append((row.n_qubits, row.time, row.epsilon, row.fidelity))
+        for n_q in {p[0] for p in points}:
+            gate_counts[n_q] = build_step_circuit(MapParams(n_q, config.k_param)).gate_count
 
     xs_actual, xs_reference, ys, kept = [], [], [], []
     for n_q, t, eps, fid in points:
         x_ref = eps**2 * reference_gate_count(n_q) * t
         if REFERENCE_GAMMA * x_ref > 0.5:  # outside the perturbative regime
             continue
-        n_g = build_step_circuit(MapParams(n_q, config.k_param)).gate_count
-        xs_actual.append(eps**2 * n_g * t)
+        xs_actual.append(eps**2 * gate_counts[n_q] * t)
         xs_reference.append(x_ref)
         ys.append(-math.log(max(fid, 1e-300)))
         kept.append((n_q, t, eps, fid))

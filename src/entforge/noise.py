@@ -9,9 +9,10 @@ independent realizations produces the noise-averaged density matrix.
 Randomness is counter-based: realization r of master seed s owns the Philox
 stream keyed by (s, r), so trajectories are reproducible one by one,
 independent across indices by construction, and parallelizable without
-shared state.  Each trajectory draws its parameters in one block (steps x
-parameters-per-step, in gate order), which fixes every epsilon_i as a pure
-function of (master_seed, realization_index).
+shared state.  Each trajectory draws one step's parameters at a time, in
+gate order, from its own stream; step j's values are row j of the
+(steps x parameters-per-step) block ``uniform_draws`` returns, so every
+epsilon_i is a pure function of (master_seed, realization_index).
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +37,14 @@ from .sawtooth import (
 
 #: batches used for batch-means error estimates and convergence checks
 DEFAULT_BATCH_COUNT = 8
+#: N x N matrices held besides the finished rho while ``TrajectorySnapshot.rho``
+#: is formed: the accumulator, the product it adds, and the asymmetry check's
+#: conjugate and difference
+RHO_TEMPORARIES = 4
+#: N x N matrices one spectrum worker holds at its peak besides a batch's
+#: amplitude columns: the rho, a partial transpose and the eigensolver's
+#: symmetry-check and input copies
+WORKER_MATRICES = 4
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,13 @@ class NoiseRealization:
     def uniform_draws(self, epsilon: float, shape) -> np.ndarray:
         """All noise parameters of this trajectory, uniform in [-eps, +eps]."""
         return self.generator().uniform(-epsilon, epsilon, size=shape)
+
+    def step_draws(self, epsilon: float, per_step: int):
+        """Endless iterator over one step's noise parameters at a time; the
+        first t of them are the rows of ``uniform_draws(epsilon, (t, per_step))``."""
+        generator = self.generator()
+        while True:
+            yield generator.uniform(-epsilon, epsilon, size=per_step)
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -109,15 +126,64 @@ def recommend_realizations(n_q: int, bound_kind: str, multiplier: int = 4) -> in
     raise ValidationError("bound_kind must be 'lower' or 'upper'")
 
 
+def batch_rho(columns: np.ndarray, n_realizations: int) -> DensityMatrix:
+    """Density matrix of one batch of trajectories from its (N, B) final
+    amplitudes: the projectors weighted 1/n_realizations each, as in rho,
+    then rescaled to unit trace and symmetrized."""
+    n_qubits = columns.shape[0].bit_length() - 1
+    projectors = columns @ columns.conj().T
+    projectors *= 1.0 / n_realizations
+    rho = projectors + projectors.conj().T
+    rho *= 0.5 * (n_realizations / columns.shape[1])
+    return DensityMatrix(n_qubits, rho)
+
+
 @dataclass
 class TrajectorySnapshot:
-    """Noise-averaged state and fidelity record at one time."""
+    """Final amplitudes of every trajectory at one time, and their fidelities.
+
+    Column r of ``amplitudes`` is realization r.  At epsilon = 0 every
+    trajectory is the noiseless one, so the block holds that single column.
+    rho is formed from the block on first use and kept; the batch rhos are
+    formed anew on each access.
+    """
 
     time: int
-    rho: DensityMatrix
-    batch_rhos: tuple[DensityMatrix, ...]
+    amplitudes: np.ndarray  # (N, n_realizations), or (N, 1) when noiseless
+    n_realizations: int
+    batch_count: int
     fidelities: np.ndarray  # |<ideal_t|psi_r,t>|^2 per realization
     mean_fidelity: float
+    noiseless: bool = False
+
+    @property
+    def n_qubits(self) -> int:
+        return self.amplitudes.shape[0].bit_length() - 1
+
+    @property
+    def batch_slices(self) -> list[slice]:
+        """Realizations of each batch, in batch order."""
+        return batch_slices(self.n_realizations, self.batch_count)
+
+    @cached_property
+    def rho(self) -> DensityMatrix:
+        """rho = (1/R) sum_r |psi_r><psi_r|, accumulated batch by batch in
+        batch order, so a given (master_seed, R) is bit-reproducible."""
+        if self.noiseless:
+            return DensityMatrix.from_pure(StateVector(self.n_qubits, self.amplitudes[:, 0]))
+        acc = ProjectorAccumulator(self.n_qubits)
+        for sl in self.batch_slices:
+            acc.add_batch(self.amplitudes[:, sl], 1.0 / self.n_realizations)
+        return acc.finalize()
+
+    @property
+    def batch_rhos(self) -> tuple[DensityMatrix, ...]:
+        """Batch sub-averages for batch-means error bars (``batch_rho``)."""
+        if self.noiseless:
+            return (self.rho,) * len(self.batch_slices)
+        return tuple(
+            batch_rho(self.amplitudes[:, sl], self.n_realizations) for sl in self.batch_slices
+        )
 
 
 @dataclass
@@ -142,25 +208,32 @@ def physical_memory_bytes() -> int:
 def require_memory(
     n_q: int,
     n_times: int,
+    n_realizations: int,
+    workers: int = 0,
     batch_count: int = DEFAULT_BATCH_COUNT,
-    extra_matrices: int = 0,
 ) -> None:
-    """Refuse a trajectory run whose N x N matrices would not fit in memory.
+    """Refuse a trajectory run that would not fit in memory.
 
-    ``run_trajectories`` holds, per snapshot time, ``batch_count + 1``
-    accumulators and as many finished density matrices (the batch rhos and
-    rho); ``extra_matrices`` counts copies held elsewhere meanwhile, such as
-    the spectrum workers'.  Two snapshot times at n_q = 12 need ~9.7 GB.
+    Per snapshot time the run holds the (N, R) amplitude block and, once it
+    is formed, rho; forming a rho takes ``RHO_TEMPORARIES`` more N x N
+    matrices.  Each of ``workers`` spectrum workers holds one batch's
+    columns and ``WORKER_MATRICES`` N x N matrices meanwhile.
     """
-    matrices = 2 * (batch_count + 1) * n_times + extra_matrices
-    matrix_bytes = 16 * 4**n_q  # complex128, N x N
-    needed = matrices * matrix_bytes
+    n_levels = 2**n_q
+    matrix_bytes = 16 * n_levels**2  # complex128, N x N
+    blocks = n_times * 16 * n_levels * n_realizations
+    matrices = n_times + RHO_TEMPORARIES
+    batch_columns = math.ceil(n_realizations / min(batch_count, n_realizations))
+    per_worker = WORKER_MATRICES * matrix_bytes + 16 * n_levels * batch_columns
+    needed = blocks + matrices * matrix_bytes + workers * per_worker
     available = physical_memory_bytes()
     if needed > available:
         raise ValidationError(
-            f"n_q = {n_q} with {n_times} snapshot time(s) needs ~{needed / 1e9:.1f} GB "
-            f"for {matrices} N x N matrices of {matrix_bytes / 1e6:.0f} MB each; "
-            f"this machine has {available / 1e9:.1f} GB"
+            f"n_q = {n_q} with {n_times} snapshot time(s) and {n_realizations} "
+            f"realizations needs ~{needed / 1e9:.1f} GB: {blocks / 1e9:.1f} GB of "
+            f"amplitude blocks, {matrices} N x N matrices of {matrix_bytes / 1e6:.0f} MB "
+            f"each and {workers * per_worker / 1e9:.1f} GB for {workers} spectrum "
+            f"worker(s); this machine has {available / 1e9:.1f} GB"
         )
 
 
@@ -188,13 +261,14 @@ def run_trajectories(
     circuit: GateSequence | None = None,
     batch_count: int = DEFAULT_BATCH_COUNT,
 ) -> TrajectoryResult:
-    """Noise-averaged density matrix rho = (1/N_r) sum_r |psi_r><psi_r|.
+    """Noisy trajectories from ``initial``, recorded at ``snapshot_times``
+    (default: [t]) as amplitude blocks from which each snapshot forms the
+    noise-averaged density matrix rho = (1/N_r) sum_r |psi_r><psi_r|.
 
     Trajectories are evolved in contiguous batches (vectorized over the batch
-    axis); batch order and the within-batch accumulation order are fixed, so
-    a given (master_seed, n_realizations) pair is bit-reproducible.  Batch
-    sub-averages are kept for batch-means error bars and convergence checks.
-    ``snapshot_times`` selects intermediate times to record (default: [t]).
+    axis), each drawing its noise one step at a time from its own stream.
+    The batches also give the batch sub-averages for batch-means error bars
+    and convergence checks.
     """
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
@@ -205,7 +279,7 @@ def run_trajectories(
     times = sorted(set(snapshot_times if snapshot_times is not None else [t]))
     if not times or times[-1] > t or times[0] < 0:
         raise ValidationError("snapshot times must lie in [0, t]")
-    require_memory(params.n_q, len(times), batch_count)
+    require_memory(params.n_q, len(times), n_realizations, batch_count=batch_count)
     if circuit is None:
         circuit = build_step_circuit(params)
     compiled = circuit._compiled
@@ -225,54 +299,38 @@ def run_trajectories(
     if epsilon == 0.0:
         # all trajectories coincide with the noiseless evolution
         for s in times:
-            pure = StateVector(params.n_q, ideals[s])
-            rho = DensityMatrix.from_pure(pure)
-            batches = min(batch_count, n_realizations)
             result.snapshots[s] = TrajectorySnapshot(
-                s, rho, (rho,) * batches, np.ones(n_realizations), 1.0
+                s, ideals[s][:, None], n_realizations, batch_count,
+                np.ones(n_realizations), 1.0, noiseless=True,
             )
         return result
 
-    slices = batch_slices(n_realizations, batch_count)
-    accumulators = {s: [ProjectorAccumulator(params.n_q) for _ in slices] for s in times}
+    # column-major, so each batch's columns are one contiguous slice
+    blocks = {
+        s: np.empty((params.N, n_realizations), dtype=np.complex128, order="F")
+        for s in times
+    }
     fidelities = {s: np.empty(n_realizations) for s in times}
-    draws_per_step = compiled.draws_per_step
-
-    for b, sl in enumerate(slices):
-        indices = range(sl.start, sl.stop)
-        draws = np.stack(
-            [
-                NoiseRealization(master_seed, r).uniform_draws(
-                    epsilon, (t, draws_per_step)
-                )
-                for r in indices
-            ],
-            axis=-1,
-        )  # (t, draws_per_step, batch)
-        amps = np.repeat(initial.amplitudes[:, None], len(indices), axis=1)
+    for sl in batch_slices(n_realizations, batch_count):
+        streams = [
+            NoiseRealization(master_seed, r).step_draws(epsilon, compiled.draws_per_step)
+            for r in range(sl.start, sl.stop)
+        ]
+        draws = np.empty((compiled.draws_per_step, len(streams)))
+        amps = np.repeat(initial.amplitudes[:, None], len(streams), axis=1)
         step = 0
         for s in times:
             while step < s:
-                amps = compiled.apply(amps, draws[step])
+                for j, stream in enumerate(streams):
+                    draws[:, j] = next(stream)
+                amps = compiled.apply(amps, draws)
                 step += 1
-            accumulators[s][b].add_batch(amps, 1.0 / n_realizations)
-            overlaps = ideals[s].conj() @ amps
-            fidelities[s][sl] = np.abs(overlaps) ** 2
+            blocks[s][:, sl] = amps
+            fidelities[s][sl] = np.abs(ideals[s].conj() @ amps) ** 2
 
     for s in times:
-        total = ProjectorAccumulator(params.n_q)
-        batch_rhos = []
-        for b, sl in enumerate(slices):
-            total.merge(accumulators[s][b])
-            scale = n_realizations / (sl.stop - sl.start)
-            batch_rhos.append(
-                DensityMatrix(
-                    params.n_q,
-                    0.5 * scale * (accumulators[s][b].matrix + accumulators[s][b].matrix.conj().T),
-                )
-            )
-        rho = total.finalize()
         result.snapshots[s] = TrajectorySnapshot(
-            s, rho, tuple(batch_rhos), fidelities[s], float(fidelities[s].mean())
+            s, blocks[s], n_realizations, batch_count,
+            fidelities[s], float(fidelities[s].mean()),
         )
     return result

@@ -173,8 +173,8 @@ def check_trajectory_state(seed) -> CheckResult:
     params = MapParams(4)
     init = momentum_basis_state(params, 1)
     res = run_trajectories(params, 6, 6e-3, 32, seed, init)
-    rho = res.final.rho
     try:
+        rho = res.final.rho  # formed and validated on first use
         rho.validate()
     except Exception as exc:
         return CheckResult("noise-averaged state invariants", False, str(exc))

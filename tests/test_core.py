@@ -285,19 +285,6 @@ class TestProjectorAccumulator:
         rho = acc.finalize()
         np.testing.assert_allclose(rho.matrix, DensityMatrix.from_pure(psi).matrix, atol=1e-13)
 
-    def test_merge_matches_sequential(self):
-        states = [random_state(2, s) for s in range(4)]
-        seq = ProjectorAccumulator(2)
-        for s in states:
-            seq.add(s, 0.25)
-        left, right = ProjectorAccumulator(2), ProjectorAccumulator(2)
-        for s in states[:2]:
-            left.add(s, 0.25)
-        for s in states[2:]:
-            right.add(s, 0.25)
-        left.merge(right)
-        np.testing.assert_allclose(left.finalize().matrix, seq.finalize().matrix, atol=1e-15)
-
     def test_batch_add_matches_loop(self):
         states = [random_state(3, 40 + s) for s in range(5)]
         loop = ProjectorAccumulator(3)

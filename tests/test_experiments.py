@@ -22,7 +22,7 @@ from entforge.experiments import (
     run_spectrum,
     spectrum_pool,
 )
-from entforge.noise import run_trajectories
+from entforge.noise import batch_rho, run_trajectories
 from entforge.sawtooth import MapParams, momentum_basis_state
 
 
@@ -240,6 +240,50 @@ class TestSpectrumPool:
             assert got.total_entropy == pytest.approx(von_neumann_entropy(rho), rel=0, abs=1e-12)
             assert got.total_entropy > 0.01  # noisy, so genuinely mixed
 
+    @pytest.mark.parametrize("n_q", [4, 6])
+    def test_worker_batch_rhos_match_in_process(self, n_q):
+        params = MapParams(n_q)
+        snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
+        in_process = snap.batch_rhos
+        tasks = [(snap.amplitudes[:, sl], snap.n_realizations) for sl in snap.batch_slices]
+        with spectrum_pool(n_q, 1) as pool:
+            formed = pool.starmap(batch_rho, tasks)
+            spec, batch_specs = experiments.snapshot_spectra(pool, snap)
+        assert len(formed) == len(batch_specs) == len(in_process) == 8
+        for got, want in zip(formed, in_process):
+            np.testing.assert_array_equal(got.matrix, want.matrix)
+        for got, rho in zip([spec, *batch_specs], [snap.rho, *in_process]):
+            want = mixed_spectrum(rho)
+            for side in ("lower", "upper"):
+                np.testing.assert_allclose(
+                    [s.value for s in getattr(got, side)],
+                    [s.value for s in getattr(want, side)],
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    def test_noiseless_spectrum_computed_once(self, tmp_path, monkeypatch):
+        sent = []
+        pooled = experiments.pooled_spectra
+
+        def counting(pool, tasks):
+            sent.append(len(tasks))
+            return pooled(pool, tasks)
+
+        def every_batch(pool, snap):  # one task per batch rho, noiseless or not
+            spec, *batch_specs = pooled(pool, [snap.rho, *snap.batch_rhos])
+            return spec, batch_specs
+
+        argv = ["noise-sweep", "--nq", "4", "--eps-grid", "0,1e-2", "--steps", "6",
+                "--realizations", "40"]
+        monkeypatch.setattr(experiments, "pooled_spectra", counting)
+        assert main(argv + ["--out", str(tmp_path / "once")]) == EXIT_OK
+        assert sent == [1, 9]
+        monkeypatch.setattr(experiments, "snapshot_spectra", every_batch)
+        assert main(argv + ["--out", str(tmp_path / "every")]) == EXIT_OK
+        for name in ("noise_sweep.csv", "fidelity.csv"):
+            assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "every" / name).read_bytes()
+
     def test_pool_size_does_not_change_csvs(self, tmp_path, monkeypatch):
         written = []
         for cpus in (1, 2):
@@ -254,12 +298,13 @@ class TestSpectrumPool:
         assert written[0] == written[1]
 
     def test_sweep_counts_worker_copies_in_memory_guard(self, monkeypatch):
-        # room for one trajectory run at n_q = 4 (18 matrices) but not for
-        # the copies of two workers besides
-        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 20 * 16 * 4**4)
+        # room for one trajectory run at n_q = 4 with R = N (6 matrices) but
+        # not for the copies of two workers besides
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10 * 16 * 4**4)
         monkeypatch.setattr(experiments, "available_cpus", lambda: 2)
         cfg = ExperimentConfig(qubit_range=(4,), steps=4, epsilon_grid=(1e-2,), n_realizations=16)
-        with pytest.raises(ValidationError, match="26 N x N matrices"):
+        run_trajectories(MapParams(4), 4, 1e-2, 16, 0, momentum_basis_state(MapParams(4)))
+        with pytest.raises(ValidationError, match="for 2 spectrum worker"):
             run_noise_sweep(cfg)
 
 

@@ -58,6 +58,14 @@ class TestNoiseRealization:
         draws = NoiseRealization(1, 2).uniform_draws(eps, 10_000)
         assert np.all(np.abs(draws) <= eps)
 
+    @pytest.mark.parametrize("per_step", [1, 4, 37])
+    def test_step_draws_are_rows_of_block(self, per_step):
+        steps, eps = 6, 3e-2
+        stream = NoiseRealization(42, 7).step_draws(eps, per_step)
+        rows = np.stack([next(stream) for _ in range(steps)])
+        block = NoiseRealization(42, 7).uniform_draws(eps, (steps, per_step))
+        np.testing.assert_array_equal(rows, block)
+
 
 class TestDeriveSeed:
     def test_stable(self):
@@ -193,6 +201,32 @@ class TestRunTrajectories:
             expected_f = ideal.overlap_probability(psi)
             assert res.final.fidelities[r] == pytest.approx(expected_f, abs=1e-12)
 
+    @pytest.mark.parametrize("n_q", [2, 3, 4, 5])
+    def test_block_columns_match_single_state_evolution(self, n_q):
+        # column r of each snapshot's block is the standalone noisy
+        # evolution of realization r, drawn in one block per trajectory
+        params = MapParams(n_q)
+        init = momentum_basis_state(params)
+        circuit = build_step_circuit(params)
+        eps, seed, n_real = 0.05, 29, 5
+        res = run_trajectories(
+            params, 4, eps, n_real, seed, init, snapshot_times=[2, 4], batch_count=2
+        )
+        for s in (2, 4):
+            block = res.snapshots[s].amplitudes
+            assert block.shape == (params.N, n_real)
+            for r in range(n_real):
+                psi = evolve_circuit(init, circuit, s, NoiseModel(eps), NoiseRealization(seed, r))
+                np.testing.assert_allclose(block[:, r], psi.amplitudes, rtol=0, atol=1e-12)
+
+    def test_noiseless_keeps_one_column(self):
+        params = MapParams(3)
+        init = momentum_basis_state(params)
+        snap = run_trajectories(params, 4, 0.0, 16, 1, init).final
+        assert snap.amplitudes.shape == (params.N, 1)
+        assert len(snap.batch_rhos) == 8
+        assert all(b is snap.rho for b in snap.batch_rhos)
+
     def test_snapshots_consistent_with_full_run(self):
         params = MapParams(3)
         init = momentum_basis_state(params)
@@ -249,19 +283,25 @@ class TestBatchSlices:
 
 class TestMemoryGuard:
     def test_estimate_nq12_two_times(self, monkeypatch):
-        # 2 times x 18 matrices x 268 MB; nothing of that size is allocated
-        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 7 * 10**9)
-        with pytest.raises(ValidationError, match=r"needs ~9\.7 GB for 36 N x N matrices"):
-            require_memory(12, 2)
-        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10 * 10**9)
-        require_memory(12, 2)
+        # R = 4N: 2 blocks of 1.07 GB, then 2 rhos and 4 temporaries of
+        # 268 MB; nothing of that size is allocated
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 3 * 10**9)
+        with pytest.raises(
+            ValidationError,
+            match=r"needs ~3\.8 GB: 2\.1 GB of amplitude blocks, 6 N x N matrices of 268 MB",
+        ):
+            require_memory(12, 2, 4 * 4096)
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 4 * 10**9)
+        require_memory(12, 2, 4 * 4096)
 
     def test_extra_matrices_count(self, monkeypatch):
+        # n_q = 4, R = N: the block is one matrix's worth, so the run needs 6
+        # matrices and each worker 4 more plus a batch of 2 columns
         per_matrix = 16 * 4**4
-        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 20 * per_matrix)
-        require_memory(4, 1)  # 18 matrices
-        with pytest.raises(ValidationError):
-            require_memory(4, 1, extra_matrices=3)
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10 * per_matrix)
+        require_memory(4, 1, 16)
+        with pytest.raises(ValidationError, match="for 1 spectrum worker"):
+            require_memory(4, 1, 16, workers=1)
 
     def test_run_trajectories_refuses_before_work(self, monkeypatch):
         monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10**4)
