@@ -158,27 +158,14 @@ def pure_log_negativity(state: StateVector, part: Bipartition) -> float:
     return 2.0 * math.log2(float(np.sum(roots)))
 
 
-def distillable_bounds(rho: DensityMatrix, part: Bipartition) -> tuple[float, float]:
-    """(lower, upper) bounds on distillable entanglement across the bipartition.
-
-    lower = max(S(rho_A) - S(rho), 0); upper = log negativity.
-    """
-    s_total = von_neumann_entropy(rho)
-    s_a = von_neumann_entropy(reduced_density_matrix(rho, part))
-    lower = max(s_a - s_total, 0.0)
-    upper = log_negativity(rho, part)
-    if lower > upper + 1e-9:
-        raise ValidationError(f"bound ordering violated: {lower} > {upper}")
-    return lower, upper
-
-
 def mixed_spectrum(rho: DensityMatrix) -> MixedSpectrum:
     """Distillable-entanglement bounds over every balanced bipartition, in
     bipartition enumeration order.
 
     The N x N eigendecomposition of each partial transpose dominates the
     cost; the noise sweep runs one call per density matrix in a process
-    pool (``experiments.spectrum_pool``).
+    pool (``experiments.spectrum_pool``), starting each batch rho's call
+    while later batches of trajectories still evolve.
     """
     parts = enumerate_balanced_bipartitions(rho.n_qubits)
     s_total = von_neumann_entropy(rho)

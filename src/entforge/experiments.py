@@ -203,22 +203,36 @@ def _tau_window(deviation: np.ndarray) -> int:
     return min(max(cut, 4), deviation.size)
 
 
+def _generation_row(task) -> np.ndarray:
+    """Mean entanglement over balanced bipartitions of one ensemble state
+    at t = 0..steps."""
+    state, params, steps = task
+    row = np.zeros(steps + 1)
+    for t in range(steps + 1):
+        if t > 0:
+            state = evolve_exact(state, params, 1)
+        row[t] = stats(pure_spectrum(state)).mean
+    return row
+
+
 def run_generation(config: ExperimentConfig) -> GenerationResult:
     """Ensemble-averaged entanglement growth <E_AB>(t) and its convergence
-    time scale per register size."""
+    time scale per register size.
+
+    Each ensemble state's curve is one task of a ``spectrum_pool``, so a
+    script calling this needs an ``if __name__ == "__main__":`` guard.
+    """
+    with spectrum_pool() as pool:
+        pending = {}
+        for n_q in config.qubit_range:
+            params = MapParams(n_q, config.k_param)
+            tasks = [(state, params, config.steps) for state in generation_ensemble(params)]
+            pending[n_q] = pool.map_async(_generation_row, tasks, chunksize=1)
+        tables = {n_q: np.array(rows.get()) for n_q, rows in pending.items()}
     series = {}
     taus = []
     for n_q in config.qubit_range:
-        params = MapParams(n_q, config.k_param)
-        states = generation_ensemble(params)
-        table = np.zeros((len(states), config.steps + 1))
-        for i, state in enumerate(states):
-            current = state
-            for t in range(config.steps + 1):
-                if t > 0:
-                    current = evolve_exact(current, params, 1)
-                table[i, t] = stats(pure_spectrum(current)).mean
-        mean_entropy = table.mean(axis=0)
+        mean_entropy = tables[n_q].mean(axis=0)
         target = page_value(n_q)
         deviation = np.abs(target - mean_entropy)
         cut = _tau_window(deviation)
@@ -260,21 +274,26 @@ class SpectrumResult:
     rate_fits: dict[str, FitResult]  # family -> fit of relative_std vs n_q
 
 
-def _spectrum_family(n_q, family, state_list) -> SpectrumFamily:
-    pooled, masks, rels = [], [], []
-    for state in state_list:
-        samples = pure_spectrum(state)
-        values = [s.value for s in samples]
-        pooled.extend(values)
-        masks.extend(s.bipartition.a_mask for s in samples)
-        rels.append(stats(values).relative_std)
-    pooled = np.asarray(pooled)
+def _pure_spectrum_task(state) -> tuple[np.ndarray, np.ndarray]:
+    """``pure_spectrum`` of one state as (entropies, bipartition masks)."""
+    samples = pure_spectrum(state)
+    return (
+        np.array([s.value for s in samples]),
+        np.array([s.bipartition.a_mask for s in samples]),
+    )
+
+
+def _spectrum_family(n_q, family, spectra) -> SpectrumFamily:
+    """Pool the per-state (entropies, masks) of ``_pure_spectrum_task``."""
+    pooled = np.concatenate([values for values, _ in spectra])
+    masks = np.concatenate([state_masks for _, state_masks in spectra])
+    rels = [stats(values).relative_std for values, _ in spectra]
     width = max((pooled.max() - pooled.min()) / 25.0, 1e-6)
     return SpectrumFamily(
         n_q,
         family,
         pooled,
-        np.asarray(masks),
+        masks,
         float(pooled.mean()),
         float(pooled.std()),
         float(np.mean(rels)),
@@ -284,24 +303,33 @@ def _spectrum_family(n_q, family, state_list) -> SpectrumFamily:
 
 def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
     """Entanglement distributions of evolved vs Haar-random states, with the
-    exponential width-vs-size fit for both families."""
+    exponential width-vs-size fit for both families.
+
+    Each state's spectrum is one task of a ``spectrum_pool``, so a script
+    calling this needs an ``if __name__ == "__main__":`` guard.
+    """
     if len(config.qubit_range) < 3:
         raise ValidationError("spectrum rate fit needs at least 3 register sizes")
     if any(n < 4 for n in config.qubit_range):
         raise ValidationError("spectrum experiments need n_q >= 4")
-    families = {}
-    for n_q in config.qubit_range:
-        params = MapParams(n_q, config.k_param)
-        evolved = [
-            evolve_exact(state, params, config.steps)
-            for state in generation_ensemble(params)
-        ]
-        families[(n_q, "sawtooth")] = _spectrum_family(n_q, "sawtooth", evolved)
-        haar_states = [
-            haar_random_state(n_q, derive_seed(config.master_seed, "haar", n_q, i))
-            for i in range(config.haar_samples)
-        ]
-        families[(n_q, "haar")] = _spectrum_family(n_q, "haar", haar_states)
+    with spectrum_pool() as pool:
+        pending = {}
+        for n_q in config.qubit_range:
+            params = MapParams(n_q, config.k_param)
+            evolved = [
+                evolve_exact(state, params, config.steps)
+                for state in generation_ensemble(params)
+            ]
+            haar_states = [
+                haar_random_state(n_q, derive_seed(config.master_seed, "haar", n_q, i))
+                for i in range(config.haar_samples)
+            ]
+            for family, states in (("sawtooth", evolved), ("haar", haar_states)):
+                pending[(n_q, family)] = pool.map_async(_pure_spectrum_task, states, chunksize=1)
+        families = {
+            (n_q, family): _spectrum_family(n_q, family, spectra.get())
+            for (n_q, family), spectra in pending.items()
+        }
     rate_fits = {}
     for family in ("sawtooth", "haar"):
         pts = [
@@ -366,23 +394,27 @@ def available_cpus() -> int:
 
 
 @contextmanager
-def spectrum_pool(n_q: int, n_times: int, n_realizations: int | None = None):
-    """Worker processes for mixed spectra, one BLAS thread each.
+def spectrum_pool(
+    n_q: int | None = None, n_times: int = 1, n_realizations: int | None = None
+):
+    """Worker processes for entanglement spectra, one BLAS thread each.
 
     A single eigensolve gains nothing from a second BLAS thread here, and
-    Python threads serialize on it, so the spectra of one point run one per
-    process: min(available CPUs, 1 + DEFAULT_BATCH_COUNT) workers, the
-    ``spawn`` method (a forked child inherits the parent's BLAS threads).
-    The workers start now, so their start-up overlaps the caller's
-    trajectories.  Before that, a trajectory run at ``n_q`` with
-    ``n_times`` snapshot times and ``n_realizations`` (default: the "auto"
-    count) plus the workers' copies must fit in memory
-    (``noise.require_memory``).
+    Python threads serialize on it, so spectra run one per process:
+    min(available CPUs, 1 + DEFAULT_BATCH_COUNT) workers, the ``spawn``
+    method (a forked child inherits the parent's BLAS threads).  The
+    pure-state experiments map their ensembles over the workers; a noise
+    sweep sends each batch's spectrum while its trajectories still run.
+    For a sweep, pass its trajectory run's ``n_q``, ``n_times`` snapshot
+    times and ``n_realizations`` (default: the "auto" count): before the
+    workers start, that run plus the workers' copies must fit in memory
+    (``noise.require_memory``).  Pure states need no such check.
     """
     size = min(available_cpus(), 1 + DEFAULT_BATCH_COUNT)
-    if n_realizations is None:
-        n_realizations = recommend_realizations(n_q, "upper")
-    require_memory(n_q, n_times, n_realizations, workers=size)
+    if n_q is not None:
+        if n_realizations is None:
+            n_realizations = recommend_realizations(n_q, "upper")
+        require_memory(n_q, n_times, n_realizations, workers=size)
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:  # a spawn pool starts every worker in its constructor
@@ -403,24 +435,55 @@ def _spectrum_task(task) -> MixedSpectrum:
     return mixed_spectrum(batch_rho(*task))
 
 
-def pooled_spectra(pool, tasks) -> list[MixedSpectrum]:
-    """``mixed_spectrum`` of each task, one pool task each, in input order.
+def submit_spectrum(pool, task):
+    """Start ``mixed_spectrum`` of one task in the pool; returns its
+    ``AsyncResult``.
 
     A task is a density matrix, or a batch's (N, B) amplitude columns with
     the run's realization count, whose ``noise.batch_rho`` the worker forms.
     """
-    return pool.map(_spectrum_task, tasks, chunksize=1)
+    return pool.apply_async(_spectrum_task, (task,))
 
 
-def snapshot_spectra(pool, snap) -> tuple[MixedSpectrum, list[MixedSpectrum]]:
-    """Spectra of a snapshot's rho and of its batch rhos.  A noiseless
-    snapshot's batch rhos are rho itself, so its one spectrum serves all."""
-    if snap.noiseless:
-        (spec,) = pooled_spectra(pool, [snap.rho])
-        return spec, [spec] * len(snap.batch_slices)
-    batches = [(snap.amplitudes[:, sl], snap.n_realizations) for sl in snap.batch_slices]
-    spec, *batch_specs = pooled_spectra(pool, [snap.rho, *batches])
-    return spec, batch_specs
+def trajectory_spectra(
+    pool, params, t, epsilon, n_realizations, master_seed, initial, snapshot_times,
+    circuit=None,
+):
+    """``run_trajectories`` with the spectra of each snapshot's rho and batch
+    rhos computed in ``pool``.
+
+    Each batch's spectrum task is sent as soon as the run has finished that
+    batch's columns at a snapshot time, so the workers compute while later
+    batches evolve; the rhos follow once the run returns.  A noiseless
+    snapshot's batch rhos are rho itself, so its one spectrum serves all.
+    Returns the run's result and, per snapshot time, (rho's spectrum, the
+    batch spectra in batch order).
+    """
+    streamed = {s: [] for s in snapshot_times}
+
+    def send_batch(time, columns):
+        streamed[time].append(submit_spectrum(pool, (columns, n_realizations)))
+
+    result = run_trajectories(
+        params,
+        t,
+        epsilon,
+        n_realizations,
+        master_seed,
+        initial,
+        snapshot_times=snapshot_times,
+        circuit=circuit,
+        on_batch=send_batch,
+    )
+    rho_specs = {s: submit_spectrum(pool, snap.rho) for s, snap in result.snapshots.items()}
+    spectra = {}
+    for s, snap in result.snapshots.items():
+        spec = rho_specs[s].get()
+        if snap.noiseless:
+            spectra[s] = spec, [spec] * len(snap.batch_slices)
+        else:
+            spectra[s] = spec, [batch.get() for batch in streamed[s]]
+    return result, spectra
 
 
 def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
@@ -495,19 +558,12 @@ def _noise_sweep(config: ExperimentConfig, times: list[int], pool) -> NoiseSweep
         circuit = build_step_circuit(params)
         for eps in config.epsilon_grid:
             seed = derive_seed(config.master_seed, "noise-sweep", n_q, f"{eps:.17g}")
-            result = run_trajectories(
-                params,
-                max(times),
-                eps,
-                n_real,
-                seed,
-                init,
-                snapshot_times=times,
-                circuit=circuit,
+            result, spectra = trajectory_spectra(
+                pool, params, max(times), eps, n_real, seed, init, times, circuit
             )
             for t in times:
                 snap = result.snapshots[t]
-                spec, batch_specs = snapshot_spectra(pool, snap)
+                spec, batch_specs = spectra[t]
                 bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
                 ordering_margin[(n_q, t, eps)] = min(
                     up.value - lo.value for lo, up in zip(spec.lower, spec.upper)
@@ -644,7 +700,7 @@ def _refine_threshold(config, pool, n_q, t, kind, curve, target, eps_star):
         init,
         snapshot_times=[t],
     )
-    (spec,) = pooled_spectra(pool, [result.snapshots[t].rho])
+    spec = submit_spectrum(pool, result.snapshots[t].rho).get()
     mean = spec.lower_stats.mean if kind == "lower" else spec.upper_stats.mean
     refined_curve = sorted(curve + [(eps_star, mean)])
     return interpolate_threshold(refined_curve, target), "refined"

@@ -260,6 +260,7 @@ def run_trajectories(
     snapshot_times: list[int] | None = None,
     circuit: GateSequence | None = None,
     batch_count: int = DEFAULT_BATCH_COUNT,
+    on_batch=None,
 ) -> TrajectoryResult:
     """Noisy trajectories from ``initial``, recorded at ``snapshot_times``
     (default: [t]) as amplitude blocks from which each snapshot forms the
@@ -269,6 +270,11 @@ def run_trajectories(
     axis), each drawing its noise one step at a time from its own stream.
     The batches also give the batch sub-averages for batch-means error bars
     and convergence checks.
+
+    ``on_batch(time, columns)``, if given, is called as soon as a batch's
+    (N, B) columns at a snapshot time are final, batch by batch in batch
+    order; ``columns`` is a view of the snapshot's block that the run no
+    longer writes.  No batch is evolved at epsilon = 0, so it is not called.
     """
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
@@ -327,6 +333,8 @@ def run_trajectories(
                 step += 1
             blocks[s][:, sl] = amps
             fidelities[s][sl] = np.abs(ideals[s].conj() @ amps) ** 2
+            if on_batch is not None:
+                on_batch(s, blocks[s][:, sl])
 
     for s in times:
         result.snapshots[s] = TrajectorySnapshot(

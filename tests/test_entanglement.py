@@ -16,7 +16,6 @@ from entforge.entanglement import (
     RegimeWarning,
     analytic_threshold,
     binary_entropy,
-    distillable_bounds,
     enumerate_balanced_bipartitions,
     fano_entropy_bound,
     haar_random_state,
@@ -100,22 +99,32 @@ class TestHaarRandomState:
         assert abs(np.mean(vals) - 3.27865) < 0.02
 
 
+def two_qubit_bounds(rho):
+    """(lower, upper) of ``mixed_spectrum`` at n_q = 2, whose one balanced
+    bipartition splits qubit 0 from qubit 1."""
+    spec = mixed_spectrum(rho)
+    (lower,), (upper,) = spec.lower, spec.upper
+    assert lower.bipartition == upper.bipartition == Bipartition(2, 0b01)
+    assert lower.value <= upper.value + 1e-9
+    return lower.value, upper.value
+
+
 class TestDistillableBounds:
     def test_bell_projector(self):
         rho = DensityMatrix.from_pure(bell_state())
-        lo, up = distillable_bounds(rho, Bipartition(2, 0b01))
+        lo, up = two_qubit_bounds(rho)
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert up == pytest.approx(1.0, abs=1e-9)
 
     def test_maximally_mixed(self):
         rho = DensityMatrix(2, np.eye(4, dtype=complex) / 4)
-        lo, up = distillable_bounds(rho, Bipartition(2, 0b01))
+        lo, up = two_qubit_bounds(rho)
         assert lo == pytest.approx(0.0, abs=1e-9)
         assert up == pytest.approx(0.0, abs=1e-9)
 
     def test_product_state(self):
         rho = DensityMatrix.from_pure(StateVector.basis_state(2, 2))
-        lo, up = distillable_bounds(rho, Bipartition(2, 0b01))
+        lo, up = two_qubit_bounds(rho)
         assert lo == pytest.approx(0.0, abs=1e-9)
         assert up == pytest.approx(0.0, abs=1e-9)
 

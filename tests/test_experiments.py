@@ -5,8 +5,8 @@ import pytest
 
 from entforge import experiments, noise
 from entforge.cli import EXIT_OK, main
-from entforge.core import ValidationError, von_neumann_entropy
-from entforge.entanglement import mixed_spectrum
+from entforge.core import DensityMatrix, ValidationError, von_neumann_entropy
+from entforge.entanglement import haar_random_state, mixed_spectrum, pure_spectrum, stats
 from entforge.experiments import (
     ExperimentConfig,
     ThresholdBracketError,
@@ -15,15 +15,29 @@ from entforge.experiments import (
     fit_exponential,
     fit_linear,
     fit_power_law,
+    generation_ensemble,
     interpolate_threshold,
-    pooled_spectra,
     run_generation,
     run_noise_sweep,
     run_spectrum,
     spectrum_pool,
+    submit_spectrum,
+    trajectory_spectra,
 )
-from entforge.noise import batch_rho, run_trajectories
-from entforge.sawtooth import MapParams, momentum_basis_state
+from entforge.noise import batch_rho, derive_seed, run_trajectories
+from entforge.sawtooth import MapParams, evolve_exact, momentum_basis_state
+
+
+def assert_spectra_match(got, rho):
+    """A pooled spectrum equals in-process ``mixed_spectrum(rho)`` to 1e-12."""
+    want = mixed_spectrum(rho)
+    for side in ("lower", "upper"):
+        np.testing.assert_allclose(
+            [s.value for s in getattr(got, side)],
+            [s.value for s in getattr(want, side)],
+            rtol=0,
+            atol=1e-12,
+        )
 
 
 class TestConfig:
@@ -167,6 +181,64 @@ class TestRunSpectrum:
             run_spectrum(ExperimentConfig(qubit_range=(4, 6)))
 
 
+class TestPooledEnsembles:
+    """The pure-state experiments run each state in a pool worker; their
+    results must equal an in-process ``pure_spectrum`` loop exactly."""
+
+    def test_generation_matches_in_process(self, generation_result):
+        for n_q in (4, 6):
+            params = MapParams(n_q)
+            states = generation_ensemble(params)
+            table = np.zeros((len(states), 21))
+            for i, state in enumerate(states):
+                for t in range(21):
+                    if t > 0:
+                        state = evolve_exact(state, params, 1)
+                    table[i, t] = stats(pure_spectrum(state)).mean
+            np.testing.assert_array_equal(
+                generation_result.series[n_q].mean_entropy, table.mean(axis=0)
+            )
+
+    def test_spectrum_matches_in_process(self, spectrum_result):
+        for n_q in (4, 6, 8):
+            params = MapParams(n_q)
+            families = {
+                "sawtooth": [evolve_exact(s, params, 12) for s in generation_ensemble(params)],
+                "haar": [haar_random_state(n_q, derive_seed(0, "haar", n_q, i)) for i in range(20)],
+            }
+            for family, states in families.items():
+                spectra = [pure_spectrum(state) for state in states]
+                fam = spectrum_result.families[(n_q, family)]
+                np.testing.assert_array_equal(
+                    fam.samples, [s.value for spectrum in spectra for s in spectrum]
+                )
+                np.testing.assert_array_equal(
+                    fam.sample_masks, [s.bipartition.a_mask for spectrum in spectra for s in spectrum]
+                )
+                rels = [stats(spectrum).relative_std for spectrum in spectra]
+                assert fam.relative_std == float(np.mean(rels))
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [
+            (["generate", "--nq", "4,6", "--steps", "10"],
+             ("generation.csv", "fits.csv", "summary.json")),
+            (["spectrum", "--nq", "4,6,8", "--steps", "6", "--haar-samples", "8"],
+             ("spectrum_samples_sawtooth.csv", "spectrum_samples_haar.csv",
+              "spectrum_stats.csv", "fits.csv", "summary.json")),
+        ],
+        ids=["generate", "spectrum"],
+    )
+    def test_pool_size_does_not_change_outputs(self, tmp_path, monkeypatch, argv, names):
+        written = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(experiments, "available_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            assert main(argv + ["--out", str(out)]) == EXIT_OK
+            written.append({n: (out / n).read_bytes() for n in names})
+        assert written[0] == written[1]
+
+
 @pytest.fixture(scope="module")
 def sweep():
     cfg = ExperimentConfig(
@@ -227,7 +299,8 @@ class TestSpectrumPool:
         snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
         rhos = [snap.rho, *snap.batch_rhos]
         with spectrum_pool(n_q, 1) as pool:
-            pooled = pooled_spectra(pool, rhos)
+            pending = [submit_spectrum(pool, rho) for rho in rhos]
+            pooled = [task.get() for task in pending]
         assert len(pooled) == len(rhos)
         for rho, got in zip(rhos, pooled):
             want = mixed_spectrum(rho)
@@ -248,38 +321,61 @@ class TestSpectrumPool:
         tasks = [(snap.amplitudes[:, sl], snap.n_realizations) for sl in snap.batch_slices]
         with spectrum_pool(n_q, 1) as pool:
             formed = pool.starmap(batch_rho, tasks)
-            spec, batch_specs = experiments.snapshot_spectra(pool, snap)
+            _, spectra = trajectory_spectra(
+                pool, params, 6, 2e-2, 40, 5, momentum_basis_state(params), [6]
+            )
+        spec, batch_specs = spectra[6]
         assert len(formed) == len(batch_specs) == len(in_process) == 8
         for got, want in zip(formed, in_process):
             np.testing.assert_array_equal(got.matrix, want.matrix)
         for got, rho in zip([spec, *batch_specs], [snap.rho, *in_process]):
-            want = mixed_spectrum(rho)
-            for side in ("lower", "upper"):
-                np.testing.assert_allclose(
-                    [s.value for s in getattr(got, side)],
-                    [s.value for s in getattr(want, side)],
-                    rtol=0,
-                    atol=1e-12,
-                )
+            assert_spectra_match(got, rho)
+
+    def test_streamed_spectra_match_in_process_at_two_times(self):
+        params = MapParams(4)
+        with spectrum_pool(4, 2) as pool:
+            result, spectra = trajectory_spectra(
+                pool, params, 6, 2e-2, 40, 5, momentum_basis_state(params), [3, 6]
+            )
+        assert sorted(spectra) == [3, 6]
+        for t, (spec, batch_specs) in spectra.items():
+            snap = result.snapshots[t]
+            assert len(batch_specs) == 8
+            for got, rho in zip([spec, *batch_specs], [snap.rho, *snap.batch_rhos]):
+                assert_spectra_match(got, rho)
 
     def test_noiseless_spectrum_computed_once(self, tmp_path, monkeypatch):
-        sent = []
-        pooled = experiments.pooled_spectra
+        events = []
+        submit, run = experiments.submit_spectrum, experiments.run_trajectories
 
-        def counting(pool, tasks):
-            sent.append(len(tasks))
-            return pooled(pool, tasks)
+        def counting_submit(pool, task):
+            events.append("rho" if isinstance(task, DensityMatrix) else "batch")
+            return submit(pool, task)
 
-        def every_batch(pool, snap):  # one task per batch rho, noiseless or not
-            spec, *batch_specs = pooled(pool, [snap.rho, *snap.batch_rhos])
-            return spec, batch_specs
+        def marking_run(*args, **kwargs):
+            events.append("run")
+            result = run(*args, **kwargs)
+            events.append("returned")
+            return result
+
+        def every_batch(pool, params, t, eps, n_real, seed, init, times, circuit=None):
+            # one task per rho and batch rho, sent after the run
+            result = run(params, t, eps, n_real, seed, init, snapshot_times=times, circuit=circuit)
+            spectra = {}
+            for time, snap in result.snapshots.items():
+                pending = [submit(pool, rho) for rho in [snap.rho, *snap.batch_rhos]]
+                spec, *batch_specs = [task.get() for task in pending]
+                spectra[time] = spec, batch_specs
+            return result, spectra
 
         argv = ["noise-sweep", "--nq", "4", "--eps-grid", "0,1e-2", "--steps", "6",
                 "--realizations", "40"]
-        monkeypatch.setattr(experiments, "pooled_spectra", counting)
+        monkeypatch.setattr(experiments, "submit_spectrum", counting_submit)
+        monkeypatch.setattr(experiments, "run_trajectories", marking_run)
         assert main(argv + ["--out", str(tmp_path / "once")]) == EXIT_OK
-        assert sent == [1, 9]
-        monkeypatch.setattr(experiments, "snapshot_spectra", every_batch)
+        # 1 task at eps = 0; at eps = 1e-2 the 8 batches stream during the run
+        assert events == ["run", "returned", "rho", "run"] + ["batch"] * 8 + ["returned", "rho"]
+        monkeypatch.setattr(experiments, "trajectory_spectra", every_batch)
         assert main(argv + ["--out", str(tmp_path / "every")]) == EXIT_OK
         for name in ("noise_sweep.csv", "fidelity.csv"):
             assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "every" / name).read_bytes()
