@@ -168,12 +168,18 @@ def mixed_spectrum(rho: DensityMatrix) -> MixedSpectrum:
     while later batches of trajectories still evolve.
     """
     parts = enumerate_balanced_bipartitions(rho.n_qubits)
-    s_total = von_neumann_entropy(rho)
+    s_total = von_neumann_entropy(rho)  # rejects a rho that is not Hermitian
+    # a partial transpose permutes rho's entries and commutes with the
+    # adjoint, so its asymmetry is rho's: symmetrize rho once (bit for bit a
+    # no-op when rho is exactly Hermitian) instead of checking and
+    # symmetrizing every partial transpose as log_negativity does
+    hermitian = DensityMatrix(rho.n_qubits, 0.5 * (rho.matrix + rho.matrix.conj().T))
     lower, upper = [], []
     for part in parts:
         s_a = von_neumann_entropy(reduced_density_matrix(rho, part))
         lower.append(EntanglementSample(part, max(s_a - s_total, 0.0)))
-        upper.append(EntanglementSample(part, log_negativity(rho, part)))
+        eigs = np.linalg.eigvalsh(partial_transpose(hermitian, part))
+        upper.append(EntanglementSample(part, math.log2(float(np.sum(np.abs(eigs))))))
     return MixedSpectrum(lower, upper, stats(lower), stats(upper), s_total)
 
 
@@ -218,28 +224,11 @@ def predicted_entropy(
     return x * (-math.log2(x) + 2.0 * n_q + 1.0 / LN2)
 
 
-def predicted_lower_bound(epsilon: float, n_q: int, t: int, gamma: float) -> float:
-    """Leading large-n_q estimate n_q/2 - 1/(2 ln 2) - 6 gamma n_q^3 eps^2 t
-    of the distillable-entanglement lower bound.
-
-    This is page_value - predicted_entropy with n_g = 3 n_q^2 and only the
-    2 n_q x part of the entropy kept. It is not a floor: where x < 4^(-n_q)
-    the dropped -x log2 x term is the larger one, so the estimate
-    understates the drop at small n_q (the measured drop is 1.1-2.2x the
-    kept term at n_q = 4..8). Check simulations against the eps = 0 value
-    minus predicted_entropy instead.
-
-    May go negative for strong noise; callers clamp at zero for display,
-    mirroring the max{., 0} in the exact bound.
-    """
-    if epsilon < 0 or gamma < 0 or t < 0:
-        raise ValidationError("parameters must be >= 0")
-    return page_value(n_q) - 6.0 * gamma * n_q**3 * epsilon**2 * t
-
-
 def analytic_threshold(n_q: int, t: int, gamma: float) -> float:
-    """Noise amplitude 1/sqrt(24 gamma n_q^2 t) at which the predicted lower
-    bound has dropped by half of its n_q/2 leading term.
+    """Noise amplitude 1/sqrt(24 gamma n_q^2 t) at which the leading
+    large-n_q drop 6 gamma n_q^3 eps^2 t of the lower bound (the 2 n_q x
+    part of predicted_entropy with n_g = 3 n_q^2) reaches n_q/4, half of the
+    lower bound's n_q/2 leading term.
 
     This is the n_q -> infinity limit of the amplitude at which the eps = 0
     value minus predicted_entropy halves. Its 1/n_q law is reached slowly:

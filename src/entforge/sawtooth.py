@@ -342,17 +342,32 @@ def inverse_participation_ratio(state: StateVector) -> float:
 @dataclass(frozen=True)
 class _PhaseFactor:
     """One diagonal gate: its rows of the step's factor table, and the shape
-    those (k, B) rows take to broadcast over the (2,)*n + (B,) view."""
+    those (k, B) rows take to broadcast over its window's table."""
 
     rows: slice
     shape: tuple[int, ...]
 
 
 @dataclass
-class _DiagonalSegment:
-    """Maximal run of consecutive diagonal gates."""
+class _Window:
+    """Diagonal gates of one run that act inside one qubit window.
 
+    Each step multiplies their factors into one (2,)*k + (B,) table over the
+    window's qubits (highest first) and the block by that table once;
+    ``shape`` is the shape the table takes to broadcast over the
+    (2,)*n + (B,) view of the block.
+    """
+
+    qubits: tuple[int, ...]
+    shape: tuple[int, ...]
     factors: list[_PhaseFactor]
+
+
+@dataclass
+class _DiagonalSegment:
+    """Maximal run of consecutive diagonal gates, sorted into windows."""
+
+    windows: list[_Window]
 
 
 @dataclass
@@ -367,13 +382,18 @@ class _MixingSegment:
 class CompiledCircuit:
     """Execution plan for a GateSequence over (N, batch) amplitude arrays.
 
-    Each diagonal gate multiplies the (2,)*n + (B,) view of the amplitudes in
-    place by a (2, B) or (2, 2, B) factor broadcast over the qubits it does
-    not touch, so a step takes exponentials of its diagonal gates' draws only
-    (one call over all of them), never of a full (N, B) block.  Each
-    Hadamard updates the two halves of its qubit in place.  Segments group
-    the gates into runs of diagonal gates and single Hadamards.  The noise
-    draw layout (slots per gate, in gate order) is that of the sequence.
+    Segments group the gates into runs of diagonal gates and single
+    Hadamards.  Each Hadamard updates the two halves of its qubit in place.
+    A diagonal run is split over windows of qubits derived from n alone,
+    with L the low half (q < n//2) and H the high half: each gate goes to
+    the window L, the window H, or, when it links H-qubit h to L, the
+    window {h} + L.  Per step, a window's (2^k, B) table is the product of
+    its gates' (2, B) and (2, 2, B) phase factors, and the (N, B) block is
+    multiplied by each table once, in place; at n = 8 that is 32 passes over
+    the block for the 128 diagonal gates, and a table is at most 64 KB at
+    B = 128.  The factors are cos + i*sin of one (S, B) angle table
+    (nominal angles plus draws).  The noise draw layout (slots per gate, in
+    gate order) is that of the sequence.
     """
 
     n_qubits: int
@@ -397,16 +417,24 @@ class CompiledCircuit:
         """
         if draws is None:
             draws = np.zeros((self.draws_per_step, 1))
-        factors = np.exp(1j * (self.phases + draws[self.phase_rows]))
+        angles = self.phases + draws[self.phase_rows]
+        factors = np.empty(angles.shape, dtype=np.complex128)
+        np.cos(angles, out=factors.real)
+        np.sin(angles, out=factors.imag)
         tilts = tilted_hadamard(draws[self.tilt_rows], draws[self.tilt_rows + 1])
         amps = np.ascontiguousarray(amps)
         view = amps.reshape((2,) * self.n_qubits + (amps.shape[1],))
         for seg in self.segments:
             if isinstance(seg, _MixingSegment):
                 _apply_mixing(amps, seg.qubit, tilts[:, :, seg.tilt])
-            else:
-                for f in seg.factors:
-                    view *= factors[f.rows].reshape(f.shape)
+                continue
+            for w in seg.windows:
+                table = np.empty((2,) * len(w.qubits) + (factors.shape[1],), np.complex128)
+                first, *rest = w.factors
+                table[...] = factors[first.rows].reshape(first.shape)
+                for f in rest:
+                    table *= factors[f.rows].reshape(f.shape)
+                view *= table.reshape(w.shape)
         return amps
 
 
@@ -422,32 +450,52 @@ def _apply_mixing(amps: np.ndarray, q: int, u: np.ndarray) -> None:
     a[...] = new_a
 
 
-def _broadcast_slots(gate: Gate) -> tuple[list[int], tuple[int, ...]]:
-    """Slots of a diagonal gate in the order of the view's axes (highest
-    qubit first), and the shape its (k, B) factor takes over that view."""
+def _window_qubits(gate: Gate, low: tuple[int, ...], high: tuple[int, ...]) -> tuple[int, ...]:
+    """Window of a diagonal gate, highest qubit first: the low half L alone,
+    the high half H alone, or {h} + L for a gate linking h in H to L."""
+    top = max(gate.qubits)
+    if top < len(low):
+        return low
+    if min(gate.qubits) >= len(low):
+        return high
+    return (top,) + low
+
+
+def _broadcast_slots(gate: Gate, window: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]]:
+    """Slots of a diagonal gate in the order of the window's axes (highest
+    qubit first), and the shape its (k, B) factor takes over the window's
+    (2,)*len(window) + (B,) table."""
+    shape = tuple(2 if q in gate.qubits else 1 for q in window) + (-1,)
     if gate.kind is GateKind.PHASE1:
-        return [0, 1], (2,) + (1,) * gate.qubits[0] + (-1,)
-    q1, q2 = gate.qubits
-    hi, lo = max(q1, q2), min(q1, q2)
+        return [0, 1], shape
     # slot 2*b1 + b2 is read as (b2, b1) when qubits[0] is the lower qubit
-    slots = [0, 1, 2, 3] if q1 > q2 else [0, 2, 1, 3]
-    return slots, (2,) + (1,) * (hi - lo - 1) + (2,) + (1,) * lo + (-1,)
+    q1, q2 = gate.qubits
+    return ([0, 1, 2, 3] if q1 > q2 else [0, 2, 1, 3]), shape
 
 
 def compile_circuit(seq: GateSequence) -> CompiledCircuit:
+    n_q = seq.n_qubits
+    low = tuple(range(n_q // 2 - 1, -1, -1))
+    high = tuple(range(n_q - 1, n_q // 2 - 1, -1))
     segments: list[_DiagonalSegment | _MixingSegment] = []
+    windows: dict[tuple[int, ...], _Window] = {}  # of the current diagonal run
     phases: list[float] = []
     phase_rows: list[int] = []
     tilt_rows: list[int] = []
     offset = 0
     for gate in seq.gates:
         if gate.is_diagonal:
-            slots, shape = _broadcast_slots(gate)
-            factor = _PhaseFactor(slice(len(phases), len(phases) + len(slots)), shape)
-            if segments and isinstance(segments[-1], _DiagonalSegment):
-                segments[-1].factors.append(factor)
-            else:
-                segments.append(_DiagonalSegment([factor]))
+            if not segments or isinstance(segments[-1], _MixingSegment):
+                segments.append(_DiagonalSegment([]))
+                windows = {}
+            qubits = _window_qubits(gate, low, high)
+            if qubits not in windows:
+                view_shape = tuple(2 if q in qubits else 1 for q in range(qubits[0], -1, -1))
+                windows[qubits] = _Window(qubits, view_shape + (-1,), [])
+                segments[-1].windows.append(windows[qubits])
+            slots, shape = _broadcast_slots(gate, qubits)
+            rows = slice(len(phases), len(phases) + len(slots))
+            windows[qubits].factors.append(_PhaseFactor(rows, shape))
             phases += [gate.phases[k] for k in slots]
             phase_rows += [offset + k for k in slots]
         else:
@@ -455,7 +503,7 @@ def compile_circuit(seq: GateSequence) -> CompiledCircuit:
             tilt_rows.append(offset)
         offset += gate.noise_parameter_count
     return CompiledCircuit(
-        seq.n_qubits,
+        n_q,
         segments,
         offset,
         np.array(phases, dtype=np.float64)[:, None],

@@ -224,8 +224,8 @@ def test_criterion_8_analytic_consistency(sweep_config, acceptance_sweep, gamma_
         if s > cap + 1e-9:
             problems.append(f"S={s:.4f} > cap={cap:.4f} at (n_q={n_q}, t={t}, eps={eps:.3g})")
     # measured lower-bound mean stays above the eps=0 value minus the full
-    # perturbative entropy; the 6 gamma n_q^3 eps^2 t of predicted_lower_bound
-    # keeps only its leading large-n_q term and underestimates the drop here
+    # perturbative entropy; its leading large-n_q term 6 gamma n_q^3 eps^2 t
+    # alone (the drop analytic_threshold halves) underestimates the drop here
     margins = []  # (E_m - floor) / predicted entropy, n_q, t, eps
     for n_q in (4, 6, 8):
         for t in (15, 30):

@@ -24,7 +24,6 @@ from entforge.entanglement import (
     mixed_spectrum,
     page_value,
     predicted_entropy,
-    predicted_lower_bound,
     pure_log_negativity,
     pure_spectrum,
     stats,
@@ -151,6 +150,33 @@ class TestMixedSpectrum:
         for lo, up in zip(spec.lower, spec.upper):
             assert lo.value <= up.value + 1e-9
 
+    @staticmethod
+    def noisy_rho_with_asymmetry(asymmetry):
+        """A sawtooth mixture at n_q = 4 plus an anti-Hermitian term that
+        makes max |rho - rho^dagger| equal ``asymmetry``.
+
+        The term sits on entries (i, i ^ 0b1111), whose row and column differ
+        on both sides of every bipartition, so no reduced density matrix
+        sees it and only the check on rho itself can catch it.
+        """
+        params = MapParams(4)
+        res = run_trajectories(params, 5, 8e-3, 32, 3, momentum_basis_state(params))
+        skew = np.zeros((16, 16), dtype=complex)
+        skew[np.arange(16), np.arange(16) ^ 0b1111] = 0.5j * asymmetry
+        return DensityMatrix(4, res.final.rho.matrix + skew)
+
+    def test_rejects_asymmetry_above_tolerance(self):
+        with pytest.raises(ValidationError):
+            mixed_spectrum(self.noisy_rho_with_asymmetry(2e-9))
+
+    def test_rounding_asymmetry_matches_log_negativity(self):
+        rho = self.noisy_rho_with_asymmetry(1e-12)
+        assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) > 0.0
+        spec = mixed_spectrum(rho)
+        assert [s.value for s in spec.upper] == [
+            log_negativity(rho, s.bipartition) for s in spec.upper
+        ]
+
     def test_noiseless_sawtooth_lower_mean(self):
         params = MapParams(6)
         state = evolve_exact(momentum_basis_state(params), params, 30)
@@ -260,9 +286,17 @@ class TestPredictedEntropy:
             predicted_entropy(0.5, 8, 30, 0.28, 200)
 
 
+def leading_lower_bound(epsilon, n_q, t, gamma):
+    """page_value minus 2 n_q x, the leading large-n_q part of
+    predicted_entropy with n_g = 3 n_q^2: the bound analytic_threshold
+    halves."""
+    x = gamma * epsilon**2 * 3 * n_q**2 * t
+    return page_value(n_q) - 2.0 * n_q * x
+
+
 class TestPredictedLowerBound:
     def test_zero_epsilon_is_page(self):
-        assert predicted_lower_bound(0.0, 8, 30, 0.3) == page_value(8)
+        assert leading_lower_bound(0.0, 8, 30, 0.3) == page_value(8)
 
     def test_half_drop_crossing_matches_analytic(self):
         n_q, t, gamma = 8, 30, 0.31
@@ -271,7 +305,7 @@ class TestPredictedLowerBound:
         lo, hi = 0.0, 1.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            drop = page_value(n_q) - predicted_lower_bound(mid, n_q, t, gamma)
+            drop = page_value(n_q) - leading_lower_bound(mid, n_q, t, gamma)
             if drop < target_drop:
                 lo = mid
             else:

@@ -235,7 +235,7 @@ class TestCompiledCircuitReference:
     """The compiled (N, B) kernel against the gate-by-gate slow path."""
 
     @pytest.mark.parametrize("noisy", [False, True])
-    @pytest.mark.parametrize("n_q", [2, 3, 4, 5])
+    @pytest.mark.parametrize("n_q", [2, 3, 4, 5, 6, 7])
     def test_apply_matches_gate_by_gate(self, n_q, noisy):
         seq = build_step_circuit(MapParams(n_q))
         compiled = compile_circuit(seq)
@@ -258,6 +258,34 @@ class TestCompiledCircuitReference:
         expected = np.stack([c.amplitudes for c in columns], axis=1)
         np.testing.assert_allclose(amps, expected, rtol=0, atol=1e-12)
         assert not np.allclose(amps[:, 0], amps[:, 1])
+
+    @pytest.mark.parametrize("n_q", [1, 2, 3, 6, 7, 8])
+    def test_each_diagonal_slot_read_by_one_window(self, n_q):
+        seq = build_step_circuit(MapParams(n_q))
+        compiled = compile_circuit(seq)
+        low = set(range(n_q // 2))
+        high = set(range(n_q // 2, n_q))
+        allowed = [low, high] + [{h} | low for h in high]
+        table_rows = []
+        for seg in compiled.segments:
+            for w in getattr(seg, "windows", []):
+                assert set(w.qubits) in allowed
+                for f in w.factors:
+                    table_rows += range(compiled.phases.shape[0])[f.rows]
+        assert sorted(table_rows) == list(range(compiled.phases.shape[0]))
+        # the factor table's rows are exactly the diagonal gates' draw slots
+        diagonal_rows, offset = [], 0
+        for g in seq.gates:
+            if g.is_diagonal:
+                diagonal_rows += range(offset, offset + g.noise_parameter_count)
+            offset += g.noise_parameter_count
+        assert sorted(compiled.phase_rows.tolist()) == diagonal_rows
+
+    def test_diagonal_passes_per_step_at_eight_qubits(self):
+        compiled = compile_circuit(build_step_circuit(MapParams(8)))
+        windows = [w for seg in compiled.segments for w in getattr(seg, "windows", [])]
+        assert len(windows) == 32
+        assert max(len(w.qubits) for w in windows) == 5
 
 
 class TestChaosSanity:
