@@ -1,150 +1,34 @@
-"""entforge: quantum sawtooth-map simulation and multipartite-entanglement analysis."""
+"""entforge: quantum sawtooth-map simulation and multipartite-entanglement analysis.
+
+The package exports the names of the README's library example; everything
+else is imported from its module (``entforge.experiments``,
+``entforge.noise``, ...).
+"""
 
 __version__ = "0.1.0"
 
-from .core import (
-    Bipartition,
-    DensityMatrix,
-    ProjectorAccumulator,
-    StateVector,
-    ValidationError,
-    apply_one_qubit_gate,
-    apply_two_qubit_phase,
-    fidelity,
-    partial_transpose,
-    reduced_density_matrix,
-    trace_norm,
-    von_neumann_entropy,
-)
-from .entanglement import (
-    EntanglementSample,
-    EntanglementStats,
-    Histogram,
-    MixedSpectrum,
-    analytic_threshold,
-    binary_entropy,
-    enumerate_balanced_bipartitions,
-    fano_entropy_bound,
-    haar_random_state,
-    histogram,
-    log_negativity,
-    mixed_spectrum,
-    page_value,
-    predicted_entropy,
-    pure_log_negativity,
-    pure_spectrum,
-    stats,
-)
-from .experiments import (
-    ExperimentConfig,
-    FitResult,
-    GammaCalibration,
-    GenerationResult,
-    NoiseSweepResult,
-    SpectrumResult,
-    ThresholdBracketError,
-    ThresholdResult,
-    calibrate_gamma,
-    find_threshold,
-    fit_exponential,
-    fit_linear,
-    fit_power_law,
-    run_generation,
-    run_noise_sweep,
-    run_spectrum,
-)
-from .noise import (
-    NoiseModel,
-    NoiseRealization,
-    TrajectoryResult,
-    TrajectorySnapshot,
-    derive_seed,
-    perturb_one_qubit_gate,
-    perturb_phase_gate,
-    recommend_realizations,
-    run_trajectories,
-)
+from .core import ValidationError
+from .entanglement import mixed_spectrum, page_value, pure_spectrum, stats
+from .noise import run_trajectories
 from .sawtooth import (
-    Gate,
-    GateKind,
-    GateSequence,
     MapParams,
     build_step_circuit,
     evolve_circuit,
     evolve_exact,
-    inverse_participation_ratio,
     momentum_basis_state,
-    momentum_phase,
-    reference_gate_count,
-    theta_phase,
 )
 
 __all__ = [
     "__version__",
-    "Bipartition",
-    "DensityMatrix",
-    "EntanglementSample",
-    "EntanglementStats",
-    "ExperimentConfig",
-    "FitResult",
-    "GammaCalibration",
-    "Gate",
-    "GateKind",
-    "GateSequence",
-    "GenerationResult",
-    "Histogram",
     "MapParams",
-    "MixedSpectrum",
-    "NoiseModel",
-    "NoiseRealization",
-    "NoiseSweepResult",
-    "ProjectorAccumulator",
-    "SpectrumResult",
-    "StateVector",
-    "ThresholdBracketError",
-    "ThresholdResult",
-    "TrajectoryResult",
-    "TrajectorySnapshot",
     "ValidationError",
-    "analytic_threshold",
-    "apply_one_qubit_gate",
-    "apply_two_qubit_phase",
-    "binary_entropy",
     "build_step_circuit",
-    "calibrate_gamma",
-    "derive_seed",
-    "enumerate_balanced_bipartitions",
     "evolve_circuit",
     "evolve_exact",
-    "fano_entropy_bound",
-    "fidelity",
-    "find_threshold",
-    "fit_exponential",
-    "fit_linear",
-    "fit_power_law",
-    "haar_random_state",
-    "histogram",
-    "inverse_participation_ratio",
-    "log_negativity",
     "mixed_spectrum",
     "momentum_basis_state",
-    "momentum_phase",
     "page_value",
-    "partial_transpose",
-    "perturb_one_qubit_gate",
-    "perturb_phase_gate",
-    "predicted_entropy",
-    "pure_log_negativity",
     "pure_spectrum",
-    "recommend_realizations",
-    "reduced_density_matrix",
-    "reference_gate_count",
-    "run_generation",
-    "run_noise_sweep",
-    "run_spectrum",
     "run_trajectories",
     "stats",
-    "theta_phase",
-    "trace_norm",
-    "von_neumann_entropy",
 ]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -115,6 +114,10 @@ def _read_config_file(path: Path) -> dict:
     return values
 
 
+def _parse_bool(value: str) -> bool:
+    return value.lower() == "true"
+
+
 def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, dict]:
     """Resolve defaults, config file, and flags into an ExperimentConfig."""
     defaults = COMMAND_DEFAULTS[args.command]
@@ -133,45 +136,33 @@ def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, dict
             return convert(file_value)
         return defaults.get(key)
 
-    nq = pick("nq", args.nq, parse_qubit_list)
-    k_param = pick("k_param", args.k_param, float)
-    steps = pick("steps", args.steps, int)
-    grid_spec = pick("eps_grid", args.eps_grid, str)
-    realizations = pick("realizations", args.realizations, str)
-    strict = pick("strict", True if args.strict else None, lambda v: v.lower() == "true")
-    refine = pick("refine", True if args.refine else None, lambda v: v.lower() == "true")
-    haar_samples = pick("haar_samples", args.haar_samples, int)
-    fraction = pick("fraction", args.fraction, float)
+    # unset values (None) fall back to ExperimentConfig's defaults
+    resolved = {
+        "qubit_range": pick("nq", args.nq, parse_qubit_list),
+        "k_param": pick("k_param", args.k_param, float),
+        "steps": pick("steps", args.steps, int),
+        "epsilon_grid": pick("eps_grid", args.eps_grid, str),
+        "n_realizations": pick("realizations", args.realizations, str),
+        "strict": pick("strict", args.strict, _parse_bool),
+        "refine_threshold": pick("refine", args.refine, _parse_bool),
+        "haar_samples": pick("haar_samples", args.haar_samples, int),
+        "threshold_fraction": pick("fraction", args.fraction, float),
+    }
 
     if args.seed is not None:
-        seed = args.seed
+        resolved["master_seed"] = args.seed
     elif "seed" in file_values:
-        seed = int(file_values["seed"])
+        resolved["master_seed"] = int(file_values["seed"])
     elif os.environ.get("ENTFORGE_SEED"):
-        seed = int(os.environ["ENTFORGE_SEED"])
-    else:
-        seed = 0
+        resolved["master_seed"] = int(os.environ["ENTFORGE_SEED"])
 
     out = Path(args.out if args.out is not None else file_values.get("out", "entforge-out"))
 
-    if realizations is None or realizations == "auto":
-        n_realizations = "auto"
-    else:
-        n_realizations = int(realizations)
-    grid = parse_epsilon_grid(grid_spec) if isinstance(grid_spec, str) else (grid_spec or ())
-
-    config = ExperimentConfig(
-        qubit_range=parse_qubit_list(nq),
-        k_param=k_param if k_param is not None else 1.5,
-        steps=steps if steps is not None else 30,
-        epsilon_grid=grid,
-        n_realizations=n_realizations,
-        master_seed=seed,
-        strict=bool(strict),
-        refine_threshold=bool(refine),
-        haar_samples=haar_samples if haar_samples is not None else 64,
-        threshold_fraction=fraction if fraction is not None else 0.5,
-    )
+    if resolved["n_realizations"] not in (None, "auto"):
+        resolved["n_realizations"] = int(resolved["n_realizations"])
+    if isinstance(resolved["epsilon_grid"], str):
+        resolved["epsilon_grid"] = parse_epsilon_grid(resolved["epsilon_grid"])
+    config = ExperimentConfig(**{k: v for k, v in resolved.items() if v is not None})
     return config, out, file_values
 
 

@@ -94,18 +94,17 @@ class DensityMatrix:
         amps = state.amplitudes
         return cls(state.n_qubits, np.outer(amps, amps.conj()))
 
-    def validate(self, psd: bool = True) -> None:
-        """Check Hermiticity, unit trace, and (optionally) positivity."""
+    def validate(self) -> None:
+        """Check Hermiticity, unit trace, and positivity."""
         asym = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
         if asym > HERMITICITY_ATOL:
             raise ValidationError(f"matrix asymmetry {asym} exceeds {HERMITICITY_ATOL}")
         trace = complex(np.trace(self.matrix))
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValidationError(f"trace {trace} deviates from 1 by > {TRACE_ATOL}")
-        if psd:
-            smallest = float(hermitian_eigenvalues(self.matrix)[0])
-            if smallest < -PSD_ATOL:
-                raise ValidationError(f"smallest eigenvalue {smallest} < -{PSD_ATOL}")
+        smallest = float(hermitian_eigenvalues(self.matrix)[0])
+        if smallest < -PSD_ATOL:
+            raise ValidationError(f"smallest eigenvalue {smallest} < -{PSD_ATOL}")
 
 
 @dataclass(frozen=True)
@@ -145,10 +144,6 @@ class Bipartition:
         return _popcount(self.a_mask)
 
     @property
-    def size_b(self) -> int:
-        return self.n_qubits - self.size_a
-
-    @property
     def qubits_a(self) -> tuple[int, ...]:
         return tuple(q for q in range(self.n_qubits) if self.a_mask >> q & 1)
 
@@ -161,9 +156,9 @@ class Bipartition:
         return 2 * self.size_a == self.n_qubits
 
 
-def is_unitary(gate: np.ndarray, atol: float = UNITARITY_ATOL) -> bool:
+def is_unitary(gate: np.ndarray) -> bool:
     eye = np.eye(gate.shape[0])
-    return bool(np.max(np.abs(gate.conj().T @ gate - eye)) <= atol)
+    return bool(np.max(np.abs(gate.conj().T @ gate - eye)) <= UNITARITY_ATOL)
 
 
 def apply_one_qubit_gate(
@@ -209,15 +204,15 @@ def apply_two_qubit_phase(
     return StateVector(n, out)
 
 
-def hermitian_eigenvalues(matrix: np.ndarray, atol: float = HERMITICITY_ATOL) -> np.ndarray:
+def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
-    Asymmetry below ``atol`` (rounding debris from Monte-Carlo accumulation)
-    is symmetrized away; anything larger is an error.
+    Asymmetry up to ``HERMITICITY_ATOL`` (rounding debris from Monte-Carlo
+    accumulation) is symmetrized away; anything larger is an error.
     """
     asym = float(np.max(np.abs(matrix - matrix.conj().T)))
-    if asym > atol:
-        raise ValidationError(f"matrix asymmetry {asym} exceeds {atol}")
+    if asym > HERMITICITY_ATOL:
+        raise ValidationError(f"matrix asymmetry {asym} exceeds {HERMITICITY_ATOL}")
     if asym > 0.0:
         matrix = 0.5 * (matrix + matrix.conj().T)
     return np.linalg.eigvalsh(matrix)
@@ -330,14 +325,13 @@ class ProjectorAccumulator:
         self.matrix += weight_each * (amplitude_columns @ amplitude_columns.conj().T)
         self.total_weight += weight_each * amplitude_columns.shape[1]
 
-    def finalize(self, validate: bool = True) -> DensityMatrix:
-        """Return the accumulated mixture as a density matrix."""
+    def finalize(self) -> DensityMatrix:
+        """Return the accumulated mixture as a validated density matrix."""
         if abs(self.total_weight - 1.0) > NORM_ATOL:
             raise ValidationError(
                 f"accumulated weight {self.total_weight} deviates from 1"
             )
         sym = 0.5 * (self.matrix + self.matrix.conj().T)
         rho = DensityMatrix(self.n_qubits, sym)
-        if validate:
-            rho.validate()
+        rho.validate()
         return rho

@@ -93,6 +93,10 @@ class ExperimentConfig:
             raise ValidationError("steps must be >= 1")
         if not isinstance(self.n_realizations, int) and self.n_realizations != "auto":
             raise ValidationError("n_realizations must be an integer or 'auto'")
+        if isinstance(self.n_realizations, int) and self.n_realizations < 1:
+            raise ValidationError("n_realizations must be >= 1")
+        if self.haar_samples < 1:
+            raise ValidationError("haar_samples must be >= 1")
         if not 0 < self.threshold_fraction < 1:
             raise ValidationError("threshold_fraction must be in (0, 1)")
 
@@ -159,10 +163,11 @@ def fit_linear(points) -> FitResult:
     return FitResult(float(slope), float(intercept), r2, int(xs.size))
 
 
-def generation_ensemble(params: MapParams, count: int = GENERATION_ENSEMBLE):
+def generation_ensemble(params: MapParams):
     """Momentum eigenstates averaged by the generation experiment: all N of
-    them when N <= count, else `count` momenta spread over the torus."""
-    N = params.N
+    them when N <= GENERATION_ENSEMBLE, else that many momenta spread over
+    the torus."""
+    N, count = params.N, GENERATION_ENSEMBLE
     if N <= count:
         momenta = range(-N // 2, N // 2)
     else:
@@ -630,20 +635,17 @@ def interpolate_threshold(curve, target: float) -> float:
 
 def find_threshold(
     config: ExperimentConfig,
-    bound_kind: str = "both",
-    fraction: float | None = None,
     sweep: NoiseSweepResult | None = None,
     snapshot_times: list[int] | None = None,
 ) -> ThresholdResult:
-    """Noise amplitude at which each bound mean drops to ``fraction`` of its
-    eps=0 value, with a power-law fit of threshold vs register size.
+    """Noise amplitude at which each bound mean drops to
+    ``config.threshold_fraction`` of its eps=0 value, with a power-law fit
+    of threshold vs register size.
 
     With ``refine_threshold`` set, one extra simulation at the interpolated
     amplitude tightens the bracket before the final interpolation.  Spectra
     run in a ``spectrum_pool``, as in ``run_noise_sweep``.
     """
-    fraction = config.threshold_fraction if fraction is None else fraction
-    kinds = ("lower", "upper") if bound_kind == "both" else (bound_kind,)
     times = _snapshot_times(config, snapshot_times)
     if sweep is None and not config.epsilon_grid:
         raise ValidationError("noise sweep needs a nonempty epsilon grid")
@@ -657,19 +659,19 @@ def find_threshold(
     with pool_context as pool:
         if sweep is None:
             sweep = _noise_sweep(config, times, pool)
-        return _thresholds(config, kinds, fraction, times, sweep, pool)
+        return _thresholds(config, times, sweep, pool)
 
 
-def _thresholds(config, kinds, fraction, times, sweep, pool) -> ThresholdResult:
+def _thresholds(config, times, sweep, pool) -> ThresholdResult:
     rows: list[ThresholdRow] = []
     fits: dict[tuple[int, str], FitResult] = {}
     for t in times:
-        for kind in kinds:
+        for kind in ("lower", "upper"):
             for n_q in config.qubit_range:
                 curve = [
                     (r.epsilon, r.mean) for r in sweep.rows_for(n_q, t, kind)
                 ]
-                target = fraction * sweep.pure_reference[(n_q, t, kind)]
+                target = config.threshold_fraction * sweep.pure_reference[(n_q, t, kind)]
                 eps_star = interpolate_threshold(curve, target)
                 method = "interpolated"
                 if config.refine_threshold:

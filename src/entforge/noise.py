@@ -45,21 +45,8 @@ RHO_TEMPORARIES = 4
 #: amplitude columns: the rho, a partial transpose and the eigensolver's
 #: symmetry-check and input copies
 WORKER_MATRICES = 4
-
-
-@dataclass(frozen=True)
-class NoiseModel:
-    """Amplitude of the unitary gate noise.
-
-    Parameter counts per gate are fixed by the gate's shape
-    (``Gate.noise_parameter_count``).
-    """
-
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValidationError("epsilon must be >= 0")
+#: safety factor on the ~sqrt(N) / ~N realization counts of ``recommend_realizations``
+REALIZATION_MULTIPLIER = 4
 
 
 @dataclass(frozen=True)
@@ -113,16 +100,16 @@ def perturb_phase_gate(gate: Gate, draws) -> np.ndarray:
     return np.diag(np.exp(1j * (np.asarray(gate.phases) + draws)))
 
 
-def recommend_realizations(n_q: int, bound_kind: str, multiplier: int = 4) -> int:
+def recommend_realizations(n_q: int, bound_kind: str) -> int:
     """Realization count for converged bound estimates: ~sqrt(N) for the
-    lower bound, ~N for the upper bound, scaled by a safety multiplier."""
+    lower bound, ~N for the upper bound, times ``REALIZATION_MULTIPLIER``."""
     if n_q < 2:
         raise ValidationError("n_q must be >= 2")
     n_levels = 2**n_q
     if bound_kind == "lower":
-        return math.ceil(multiplier * math.sqrt(n_levels))
+        return math.ceil(REALIZATION_MULTIPLIER * math.sqrt(n_levels))
     if bound_kind == "upper":
-        return math.ceil(multiplier * n_levels)
+        return math.ceil(REALIZATION_MULTIPLIER * n_levels)
     raise ValidationError("bound_kind must be 'lower' or 'upper'")
 
 
@@ -188,11 +175,6 @@ class TrajectorySnapshot:
 
 @dataclass
 class TrajectoryResult:
-    params: MapParams
-    epsilon: float
-    n_realizations: int
-    master_seed: int
-    gate_count: int
     snapshots: dict[int, TrajectorySnapshot] = field(default_factory=dict)
 
     @property
@@ -298,9 +280,7 @@ def run_trajectories(
         ideals[s] = state.amplitudes
         prev = s
 
-    result = TrajectoryResult(
-        params, epsilon, n_realizations, master_seed, circuit.gate_count
-    )
+    result = TrajectoryResult()
 
     if epsilon == 0.0:
         # all trajectories coincide with the noiseless evolution

@@ -26,14 +26,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import StateVector, ValidationError
-
-if TYPE_CHECKING:
-    from .noise import NoiseModel, NoiseRealization
 
 #: Bloch axis of the Hadamard, (x + z)/sqrt(2)
 HADAMARD_AXIS = (1.0 / math.sqrt(2.0), 0.0, 1.0 / math.sqrt(2.0))
@@ -516,25 +512,28 @@ def evolve_circuit(
     state: StateVector,
     circuit: GateSequence,
     t: int,
-    noise: "NoiseModel | None" = None,
-    realization: "NoiseRealization | None" = None,
+    epsilon: float = 0.0,
+    realization=None,
 ) -> StateVector:
     """Apply the gate sequence t times.
 
-    With a noise model attached, every gate application consumes fresh
-    uniform draws from the realization's private stream, so a fixed
-    (master seed, realization index) pair reproduces the trajectory exactly.
+    With noise amplitude ``epsilon`` > 0, every gate application consumes
+    fresh uniform draws in [-epsilon, +epsilon] from ``realization``'s
+    (a ``noise.NoiseRealization``) private stream, so a fixed (master seed,
+    realization index) pair reproduces the trajectory exactly.
     """
     if t < 0:
         raise ValidationError("step count must be >= 0")
+    if epsilon < 0:
+        raise ValidationError("epsilon must be >= 0")
     if state.n_qubits != circuit.n_qubits:
         raise ValidationError("state and circuit disagree on qubit count")
     compiled = circuit._compiled
     draws_all: np.ndarray | None = None
-    if noise is not None and noise.epsilon > 0.0:
+    if epsilon > 0.0:
         if realization is None:
-            raise ValidationError("a NoiseRealization is required when noise is attached")
-        draws_all = realization.uniform_draws(noise.epsilon, (t, compiled.draws_per_step))
+            raise ValidationError("a NoiseRealization is required when epsilon > 0")
+        draws_all = realization.uniform_draws(epsilon, (t, compiled.draws_per_step))
     amps = state.amplitudes.copy().reshape(-1, 1)
     for step in range(t):
         draws = None if draws_all is None else draws_all[step][:, None]

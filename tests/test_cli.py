@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -7,12 +8,15 @@ from entforge.cli import (
     EXIT_NO_BRACKET,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
+    parse_config,
     parse_epsilon_grid,
     parse_qubit_list,
 )
 from entforge.core import ValidationError
 from entforge.entanglement import page_value
+from entforge.experiments import ExperimentConfig
 
 
 class TestGridSyntax:
@@ -83,6 +87,35 @@ class TestConfigFile:
         assert main(["generate", "--nq", "4", "--steps", "6", "--out", str(out)]) == EXIT_OK
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 123
+
+    def test_bare_parse_takes_dataclass_defaults(self, monkeypatch):
+        monkeypatch.delenv("ENTFORGE_SEED", raising=False)
+        config, _, _ = parse_config(build_parser().parse_args(["noise-sweep"]))
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        for key in (
+            "k_param", "steps", "haar_samples", "threshold_fraction", "strict",
+            "refine_threshold",
+        ):
+            assert getattr(config, key) == defaults[key], key
+
+
+class TestCountsRefusedBeforeWork:
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3", "--realizations", "0"],
+             "realizations"),
+            (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3", "--realizations", "-3"],
+             "realizations"),
+            (["spectrum", "--nq", "4,6,8", "--haar-samples", "0"], "haar_samples"),
+        ],
+    )
+    def test_exit_usage_naming_the_key(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "o"
+        assert main(argv + ["--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert any(line.startswith("error:") and key in line for line in err.splitlines())
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

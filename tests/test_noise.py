@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from entforge import noise
-from entforge.core import StateVector, ValidationError, fidelity
+from entforge.core import ValidationError, fidelity
 from entforge.noise import (
-    NoiseModel,
     NoiseRealization,
     batch_slices,
     derive_seed,
@@ -31,15 +30,15 @@ def hadamard_gate():
     return Gate(GateKind.HADAMARD, (0,))
 
 
-class TestNoiseModel:
+class TestNoiseAmplitude:
     def test_rejects_negative_epsilon(self):
+        params = MapParams(2)
+        init = momentum_basis_state(params)
         with pytest.raises(ValidationError):
-            NoiseModel(-1e-3)
-
-    def test_parameter_counts(self):
-        assert Gate(GateKind.HADAMARD, (0,)).noise_parameter_count == 2
-        assert Gate(GateKind.PHASE1, (0,), (0.0, 0.1)).noise_parameter_count == 2
-        assert Gate(GateKind.PHASE2, (0, 1), (0.0, 0.0, 0.0, 0.5)).noise_parameter_count == 4
+            evolve_circuit(
+                init, build_step_circuit(params), 1,
+                epsilon=-1e-3, realization=NoiseRealization(0, 0),
+            )
 
 
 class TestNoiseRealization:
@@ -196,7 +195,9 @@ class TestRunTrajectories:
         eps, seed, t = 2e-3, 13, 3
         res = run_trajectories(params, t, eps, 5, seed, init)
         for r in range(5):
-            psi = evolve_circuit(init, circuit, t, NoiseModel(eps), NoiseRealization(seed, r))
+            psi = evolve_circuit(
+                init, circuit, t, epsilon=eps, realization=NoiseRealization(seed, r)
+            )
             ideal = evolve_exact(init, params, t)
             expected_f = ideal.overlap_probability(psi)
             assert res.final.fidelities[r] == pytest.approx(expected_f, abs=1e-12)
@@ -216,7 +217,9 @@ class TestRunTrajectories:
             block = res.snapshots[s].amplitudes
             assert block.shape == (params.N, n_real)
             for r in range(n_real):
-                psi = evolve_circuit(init, circuit, s, NoiseModel(eps), NoiseRealization(seed, r))
+                psi = evolve_circuit(
+                    init, circuit, s, epsilon=eps, realization=NoiseRealization(seed, r)
+                )
                 np.testing.assert_allclose(block[:, r], psi.amplitudes, rtol=0, atol=1e-12)
 
     def test_noiseless_keeps_one_column(self):

@@ -104,6 +104,13 @@ class TestPhases:
             theta_phase(16, MapParams(4))
 
 
+class TestGate:
+    def test_parameter_counts(self):
+        assert Gate(GateKind.HADAMARD, (0,)).noise_parameter_count == 2
+        assert Gate(GateKind.PHASE1, (0,), (0.0, 0.1)).noise_parameter_count == 2
+        assert Gate(GateKind.PHASE2, (0, 1), (0.0, 0.0, 0.0, 0.5)).noise_parameter_count == 4
+
+
 class TestRotationHelpers:
     def test_hadamard_from_axis(self):
         g = Gate(GateKind.HADAMARD, (0,))
