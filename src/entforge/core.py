@@ -278,7 +278,13 @@ def von_neumann_entropy(rho: DensityMatrix) -> float:
     Eigenvalues are clipped to [0, 1] and those below the cutoff contribute
     nothing (0 log 0 := 0); rounding otherwise produces NaNs.
     """
-    eigs = np.clip(hermitian_eigenvalues(rho.matrix), 0.0, 1.0)
+    return spectrum_entropy(hermitian_eigenvalues(rho.matrix))
+
+
+def spectrum_entropy(eigs: np.ndarray) -> float:
+    """Entropy in bits of a density matrix with eigenvalues ``eigs``, as
+    ``von_neumann_entropy`` takes it."""
+    eigs = np.clip(eigs, 0.0, 1.0)
     eigs = eigs[eigs > ENTROPY_EIG_CUTOFF]
     if eigs.size == 0:
         return 0.0

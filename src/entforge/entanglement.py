@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    PSD_ATOL,
+    TRACE_ATOL,
     Bipartition,
     DensityMatrix,
     StateVector,
@@ -24,6 +26,7 @@ from .core import (
     hermitian_eigenvalues,
     partial_transpose,
     reduced_density_matrix,
+    spectrum_entropy,
     trace_norm,
     von_neumann_entropy,
 )
@@ -162,13 +165,24 @@ def mixed_spectrum(rho: DensityMatrix) -> MixedSpectrum:
     """Distillable-entanglement bounds over every balanced bipartition, in
     bipartition enumeration order.
 
+    This is where a rho is checked: the eigenvalues taken for S(rho) must
+    sum to 1 within ``TRACE_ATOL`` and none may lie below -``PSD_ATOL``,
+    and rho must be Hermitian (``hermitian_eigenvalues``); a failure raises
+    ``ValidationError``.
+
     The N x N eigendecomposition of each partial transpose dominates the
     cost; the noise sweep runs one call per density matrix in a process
     pool (``experiments.spectrum_pool``), starting each batch rho's call
     while later batches of trajectories still evolve.
     """
     parts = enumerate_balanced_bipartitions(rho.n_qubits)
-    s_total = von_neumann_entropy(rho)  # rejects a rho that is not Hermitian
+    eigs = hermitian_eigenvalues(rho.matrix)
+    trace = float(np.sum(eigs))
+    if abs(trace - 1.0) > TRACE_ATOL:
+        raise ValidationError(f"trace {trace} deviates from 1 by > {TRACE_ATOL}")
+    if eigs[0] < -PSD_ATOL:
+        raise ValidationError(f"smallest eigenvalue {eigs[0]} < -{PSD_ATOL}")
+    s_total = spectrum_entropy(eigs)
     # a partial transpose permutes rho's entries and commutes with the
     # adjoint, so its asymmetry is rho's: symmetrize rho once (bit for bit a
     # no-op when rho is exactly Hermitian) instead of checking and

@@ -38,8 +38,8 @@ from .entanglement import (
 )
 from .noise import (
     DEFAULT_BATCH_COUNT,
-    batch_rho,
     derive_seed,
+    mixture,
     recommend_realizations,
     require_memory,
     run_trajectories,
@@ -125,42 +125,47 @@ def _r_squared(y: np.ndarray, predicted: np.ndarray) -> float:
     return min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
 
 
-def fit_power_law(points) -> FitResult:
-    """Fit y = a * x^b by least squares on (ln x, ln y)."""
+def _fit_line(points, name: str, *, log_x: bool, log_y: bool):
+    """Least-squares line through ``points`` on (ln x if ``log_x`` else x,
+    ln y if ``log_y`` else y); returns (slope, intercept, r^2, count)."""
     xs = np.asarray([p[0] for p in points], dtype=np.float64)
     ys = np.asarray([p[1] for p in points], dtype=np.float64)
     if xs.size < 3:
-        raise ValidationError("power-law fit needs at least 3 points")
-    if np.any(xs <= 0) or np.any(ys <= 0):
-        raise ValidationError("power-law fit needs positive x and y")
-    slope, intercept = np.polyfit(np.log(xs), np.log(ys), 1)
-    r2 = _r_squared(np.log(ys), slope * np.log(xs) + intercept)
-    return FitResult(float(slope), float(math.exp(intercept)), r2, int(xs.size))
+        raise ValidationError(f"{name} fit needs at least 3 points")
+    if (log_x and np.any(xs <= 0)) or (log_y and np.any(ys <= 0)):
+        raise ValidationError(f"{name} fit needs positive {'x and y' if log_x else 'y'}")
+    if log_x:
+        xs = np.log(xs)
+    if log_y:
+        ys = np.log(ys)
+    slope, intercept = np.polyfit(xs, ys, 1)
+    return slope, intercept, _r_squared(ys, slope * xs + intercept), int(xs.size)
+
+
+def fit_power_law(points) -> FitResult:
+    """Fit y = a * x^b by least squares on (ln x, ln y)."""
+    slope, intercept, r2, count = _fit_line(points, "power-law", log_x=True, log_y=True)
+    return FitResult(float(slope), float(math.exp(intercept)), r2, count)
 
 
 def fit_exponential(points) -> FitResult:
     """Fit y = a * exp(-rate * x) by least squares on (x, ln y); rate is
     positive for decaying data."""
-    xs = np.asarray([p[0] for p in points], dtype=np.float64)
-    ys = np.asarray([p[1] for p in points], dtype=np.float64)
-    if xs.size < 3:
-        raise ValidationError("exponential fit needs at least 3 points")
-    if np.any(ys <= 0):
-        raise ValidationError("exponential fit needs positive y")
-    slope, intercept = np.polyfit(xs, np.log(ys), 1)
-    r2 = _r_squared(np.log(ys), slope * xs + intercept)
-    return FitResult(float(-slope), float(math.exp(intercept)), r2, int(xs.size))
+    slope, intercept, r2, count = _fit_line(points, "exponential", log_x=False, log_y=True)
+    return FitResult(float(-slope), float(math.exp(intercept)), r2, count)
 
 
 def fit_linear(points) -> FitResult:
     """Plain line fit y = prefactor + exponent_or_rate * x."""
-    xs = np.asarray([p[0] for p in points], dtype=np.float64)
-    ys = np.asarray([p[1] for p in points], dtype=np.float64)
-    if xs.size < 3:
-        raise ValidationError("linear fit needs at least 3 points")
-    slope, intercept = np.polyfit(xs, ys, 1)
-    r2 = _r_squared(ys, slope * xs + intercept)
-    return FitResult(float(slope), float(intercept), r2, int(xs.size))
+    slope, intercept, r2, count = _fit_line(points, "linear", log_x=False, log_y=False)
+    return FitResult(float(slope), float(intercept), r2, count)
+
+
+def _batch_stderr(batch_means) -> float:
+    """Batch-means standard error of a mean: the sample standard deviation
+    of the batch means over sqrt(batch count); 0 for a single batch."""
+    values = np.asarray(batch_means, dtype=np.float64)
+    return float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
 
 
 def generation_ensemble(params: MapParams):
@@ -437,15 +442,15 @@ def spectrum_pool(
 def _spectrum_task(task) -> MixedSpectrum:
     if isinstance(task, DensityMatrix):
         return mixed_spectrum(task)
-    return mixed_spectrum(batch_rho(*task))
+    return mixed_spectrum(mixture(task))
 
 
 def submit_spectrum(pool, task):
     """Start ``mixed_spectrum`` of one task in the pool; returns its
     ``AsyncResult``.
 
-    A task is a density matrix, or a batch's (N, B) amplitude columns with
-    the run's realization count, whose ``noise.batch_rho`` the worker forms.
+    A task is a density matrix, or a batch's (N, B) amplitude columns,
+    whose ``noise.mixture`` the worker forms.
     """
     return pool.apply_async(_spectrum_task, (task,))
 
@@ -467,7 +472,7 @@ def trajectory_spectra(
     streamed = {s: [] for s in snapshot_times}
 
     def send_batch(time, columns):
-        streamed[time].append(submit_spectrum(pool, (columns, n_realizations)))
+        streamed[time].append(submit_spectrum(pool, columns))
 
     result = run_trajectories(
         params,
@@ -502,8 +507,6 @@ def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
         half[kind] = float(np.mean(batch_means[kind][:k]))
     rows = []
     for kind, kind_stats in (("lower", spec.lower_stats), ("upper", spec.upper_stats)):
-        values = np.asarray(batch_means[kind])
-        stderr = float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
         drift = abs(kind_stats.mean - half[kind]) / max(abs(kind_stats.mean), 1e-12)
         rows.append(
             BoundRow(
@@ -514,7 +517,7 @@ def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
                 kind_stats.mean,
                 kind_stats.std_dev,
                 kind_stats.relative_std,
-                stderr,
+                _batch_stderr(batch_means[kind]),
                 n_real,
                 bool(drift <= CONVERGENCE_DRIFT),
             )
@@ -574,14 +577,7 @@ def _noise_sweep(config: ExperimentConfig, times: list[int], pool) -> NoiseSweep
                     up.value - lo.value for lo, up in zip(spec.lower, spec.upper)
                 )
                 total_entropy[(n_q, t, eps)] = spec.total_entropy
-                fid_means = np.asarray(
-                    [snap.fidelities[sl].mean() for sl in snap.batch_slices]
-                )
-                fid_err = (
-                    float(fid_means.std(ddof=1) / math.sqrt(fid_means.size))
-                    if fid_means.size > 1
-                    else 0.0
-                )
+                fid_err = _batch_stderr([snap.fidelities[sl].mean() for sl in snap.batch_slices])
                 fidelity_rows.append(
                     FidelityRow(n_q, t, eps, snap.mean_fidelity, fid_err, n_real)
                 )

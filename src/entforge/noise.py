@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityMatrix, ProjectorAccumulator, StateVector, ValidationError
+from .core import DensityMatrix, StateVector, ValidationError
 from .sawtooth import (
     Gate,
     GateKind,
@@ -37,13 +37,13 @@ from .sawtooth import (
 
 #: batches used for batch-means error estimates and convergence checks
 DEFAULT_BATCH_COUNT = 8
-#: N x N matrices held besides the finished rho while ``TrajectorySnapshot.rho``
-#: is formed: the accumulator, the product it adds, and the asymmetry check's
-#: conjugate and difference
-RHO_TEMPORARIES = 4
+#: N x N matrices held besides a finished rho while the run's process forms
+#: it (``mixture`` adds one conjugate transpose) or sends it to a spectrum
+#: worker (pickling makes a byte copy and an output buffer)
+RHO_TEMPORARIES = 2
 #: N x N matrices one spectrum worker holds at its peak besides a batch's
-#: amplitude columns: the rho, a partial transpose and the eigensolver's
-#: symmetry-check and input copies
+#: amplitude columns: the rho, its symmetrized copy in ``mixed_spectrum``,
+#: a partial transpose and the eigensolver's input copy
 WORKER_MATRICES = 4
 #: safety factor on the ~sqrt(N) / ~N realization counts of ``recommend_realizations``
 REALIZATION_MULTIPLIER = 4
@@ -113,16 +113,17 @@ def recommend_realizations(n_q: int, bound_kind: str) -> int:
     raise ValidationError("bound_kind must be 'lower' or 'upper'")
 
 
-def batch_rho(columns: np.ndarray, n_realizations: int) -> DensityMatrix:
-    """Density matrix of one batch of trajectories from its (N, B) final
-    amplitudes: the projectors weighted 1/n_realizations each, as in rho,
-    then rescaled to unit trace and symmetrized."""
-    n_qubits = columns.shape[0].bit_length() - 1
-    projectors = columns @ columns.conj().T
-    projectors *= 1.0 / n_realizations
-    rho = projectors + projectors.conj().T
-    rho *= 0.5 * (n_realizations / columns.shape[1])
-    return DensityMatrix(n_qubits, rho)
+def mixture(columns: np.ndarray) -> DensityMatrix:
+    """Equal-weight mixture of the pure states in the columns of an (N, B)
+    amplitude block: (G + G^dagger) / (2B) with G = columns columns^dagger.
+
+    The sum is Hermitian bit for bit; its trace and positivity are checked
+    where its eigenvalues are first taken (``mixed_spectrum``).
+    """
+    rho = columns @ columns.conj().T
+    rho += rho.conj().T
+    rho *= 0.5 / columns.shape[1]
+    return DensityMatrix(columns.shape[0].bit_length() - 1, rho)
 
 
 @dataclass
@@ -132,45 +133,36 @@ class TrajectorySnapshot:
     Column r of ``amplitudes`` is realization r.  At epsilon = 0 every
     trajectory is the noiseless one, so the block holds that single column.
     rho is formed from the block on first use and kept; the batch rhos are
-    formed anew on each access.
+    formed anew on each access.  Both are ``mixture`` of columns.
     """
 
     time: int
     amplitudes: np.ndarray  # (N, n_realizations), or (N, 1) when noiseless
     n_realizations: int
-    batch_count: int
     fidelities: np.ndarray  # |<ideal_t|psi_r,t>|^2 per realization
     mean_fidelity: float
     noiseless: bool = False
 
     @property
-    def n_qubits(self) -> int:
-        return self.amplitudes.shape[0].bit_length() - 1
-
-    @property
     def batch_slices(self) -> list[slice]:
         """Realizations of each batch, in batch order."""
-        return batch_slices(self.n_realizations, self.batch_count)
+        return batch_slices(self.n_realizations, DEFAULT_BATCH_COUNT)
 
     @cached_property
     def rho(self) -> DensityMatrix:
-        """rho = (1/R) sum_r |psi_r><psi_r|, accumulated batch by batch in
-        batch order, so a given (master_seed, R) is bit-reproducible."""
-        if self.noiseless:
-            return DensityMatrix.from_pure(StateVector(self.n_qubits, self.amplitudes[:, 0]))
-        acc = ProjectorAccumulator(self.n_qubits)
-        for sl in self.batch_slices:
-            acc.add_batch(self.amplitudes[:, sl], 1.0 / self.n_realizations)
-        return acc.finalize()
+        """rho = (1/R) sum_r |psi_r><psi_r|, the ``mixture`` of the whole
+        block (of its one column when noiseless).  It is not validated here:
+        ``mixed_spectrum`` checks its trace and positivity on the eigenvalues
+        it takes anyway."""
+        return mixture(self.amplitudes)
 
     @property
     def batch_rhos(self) -> tuple[DensityMatrix, ...]:
-        """Batch sub-averages for batch-means error bars (``batch_rho``)."""
+        """Batch sub-averages for batch-means error bars: the ``mixture`` of
+        each batch's columns."""
         if self.noiseless:
             return (self.rho,) * len(self.batch_slices)
-        return tuple(
-            batch_rho(self.amplitudes[:, sl], self.n_realizations) for sl in self.batch_slices
-        )
+        return tuple(mixture(self.amplitudes[:, sl]) for sl in self.batch_slices)
 
 
 @dataclass
@@ -187,25 +179,20 @@ def physical_memory_bytes() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def require_memory(
-    n_q: int,
-    n_times: int,
-    n_realizations: int,
-    workers: int = 0,
-    batch_count: int = DEFAULT_BATCH_COUNT,
-) -> None:
+def require_memory(n_q: int, n_times: int, n_realizations: int, workers: int = 0) -> None:
     """Refuse a trajectory run that would not fit in memory.
 
     Per snapshot time the run holds the (N, R) amplitude block and, once it
-    is formed, rho; forming a rho takes ``RHO_TEMPORARIES`` more N x N
-    matrices.  Each of ``workers`` spectrum workers holds one batch's
-    columns and ``WORKER_MATRICES`` N x N matrices meanwhile.
+    is formed, rho; forming or sending a rho takes ``RHO_TEMPORARIES`` more
+    N x N matrices.  Each of ``workers`` spectrum workers holds one batch's
+    columns (1/``DEFAULT_BATCH_COUNT`` of a block) and ``WORKER_MATRICES``
+    N x N matrices meanwhile.
     """
     n_levels = 2**n_q
     matrix_bytes = 16 * n_levels**2  # complex128, N x N
     blocks = n_times * 16 * n_levels * n_realizations
     matrices = n_times + RHO_TEMPORARIES
-    batch_columns = math.ceil(n_realizations / min(batch_count, n_realizations))
+    batch_columns = math.ceil(n_realizations / min(DEFAULT_BATCH_COUNT, n_realizations))
     per_worker = WORKER_MATRICES * matrix_bytes + 16 * n_levels * batch_columns
     needed = blocks + matrices * matrix_bytes + workers * per_worker
     available = physical_memory_bytes()
@@ -241,7 +228,6 @@ def run_trajectories(
     initial: StateVector,
     snapshot_times: list[int] | None = None,
     circuit: GateSequence | None = None,
-    batch_count: int = DEFAULT_BATCH_COUNT,
     on_batch=None,
 ) -> TrajectoryResult:
     """Noisy trajectories from ``initial``, recorded at ``snapshot_times``
@@ -267,7 +253,7 @@ def run_trajectories(
     times = sorted(set(snapshot_times if snapshot_times is not None else [t]))
     if not times or times[-1] > t or times[0] < 0:
         raise ValidationError("snapshot times must lie in [0, t]")
-    require_memory(params.n_q, len(times), n_realizations, batch_count=batch_count)
+    require_memory(params.n_q, len(times), n_realizations)
     if circuit is None:
         circuit = build_step_circuit(params)
     compiled = circuit._compiled
@@ -286,7 +272,7 @@ def run_trajectories(
         # all trajectories coincide with the noiseless evolution
         for s in times:
             result.snapshots[s] = TrajectorySnapshot(
-                s, ideals[s][:, None], n_realizations, batch_count,
+                s, ideals[s][:, None], n_realizations,
                 np.ones(n_realizations), 1.0, noiseless=True,
             )
         return result
@@ -297,7 +283,7 @@ def run_trajectories(
         for s in times
     }
     fidelities = {s: np.empty(n_realizations) for s in times}
-    for sl in batch_slices(n_realizations, batch_count):
+    for sl in batch_slices(n_realizations, DEFAULT_BATCH_COUNT):
         streams = [
             NoiseRealization(master_seed, r).step_draws(epsilon, compiled.draws_per_step)
             for r in range(sl.start, sl.stop)
@@ -318,7 +304,7 @@ def run_trajectories(
 
     for s in times:
         result.snapshots[s] = TrajectorySnapshot(
-            s, blocks[s], n_realizations, batch_count,
+            s, blocks[s], n_realizations,
             fidelities[s], float(fidelities[s].mean()),
         )
     return result

@@ -174,7 +174,7 @@ def check_trajectory_state(seed) -> CheckResult:
     init = momentum_basis_state(params, 1)
     res = run_trajectories(params, 6, 6e-3, 32, seed, init)
     try:
-        rho = res.final.rho  # formed and validated on first use
+        rho = res.final.rho  # formed on first use
         rho.validate()
     except Exception as exc:
         return CheckResult("noise-averaged state invariants", False, str(exc))

@@ -8,7 +8,6 @@ lines as they complete.
 import math
 
 import numpy as np
-import pytest
 
 from entforge.core import StateVector
 from entforge.entanglement import (
@@ -23,7 +22,6 @@ from entforge.experiments import (
     fit_linear,
     fit_power_law,
 )
-from entforge.noise import run_trajectories
 from entforge.properties import run_property_suite
 from entforge.sawtooth import (
     MapParams,

@@ -177,6 +177,24 @@ class TestMixedSpectrum:
             log_negativity(rho, s.bipartition) for s in spec.upper
         ]
 
+    @staticmethod
+    def rho_with_spectrum(eigs):
+        """Hermitian 4 x 4 matrix with eigenvalues ``eigs`` in a random basis."""
+        rng = np.random.default_rng(5)
+        basis, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        matrix = (basis * np.asarray(eigs)) @ basis.conj().T
+        return DensityMatrix(2, 0.5 * (matrix + matrix.conj().T))
+
+    def test_rejects_negative_eigenvalue_beyond_tolerance(self):
+        mixed_spectrum(self.rho_with_spectrum([0.6 + 1e-9, 0.4, 0.0, -1e-9]))
+        with pytest.raises(ValidationError, match="smallest eigenvalue"):
+            mixed_spectrum(self.rho_with_spectrum([0.6 + 1e-7, 0.4, 0.0, -1e-7]))
+
+    def test_rejects_trace_beyond_tolerance(self):
+        mixed_spectrum(self.rho_with_spectrum([0.6, 0.4 + 1e-11, 0.0, 0.0]))
+        with pytest.raises(ValidationError, match="trace"):
+            mixed_spectrum(self.rho_with_spectrum([0.6, 0.4 + 1e-9, 0.0, 0.0]))
+
     def test_noiseless_sawtooth_lower_mean(self):
         params = MapParams(6)
         state = evolve_exact(momentum_basis_state(params), params, 30)

@@ -24,7 +24,7 @@ from entforge.experiments import (
     submit_spectrum,
     trajectory_spectra,
 )
-from entforge.noise import batch_rho, derive_seed, run_trajectories
+from entforge.noise import derive_seed, mixture, run_trajectories
 from entforge.sawtooth import MapParams, evolve_exact, momentum_basis_state
 
 
@@ -318,9 +318,9 @@ class TestSpectrumPool:
         params = MapParams(n_q)
         snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
         in_process = snap.batch_rhos
-        tasks = [(snap.amplitudes[:, sl], snap.n_realizations) for sl in snap.batch_slices]
+        tasks = [snap.amplitudes[:, sl] for sl in snap.batch_slices]
         with spectrum_pool(n_q, 1) as pool:
-            formed = pool.starmap(batch_rho, tasks)
+            formed = pool.map(mixture, tasks)
             _, spectra = trajectory_spectra(
                 pool, params, 6, 2e-2, 40, 5, momentum_basis_state(params), [6]
             )
@@ -380,6 +380,25 @@ class TestSpectrumPool:
         for name in ("noise_sweep.csv", "fidelity.csv"):
             assert (tmp_path / "once" / name).read_bytes() == (tmp_path / "every" / name).read_bytes()
 
+    def test_parent_takes_no_full_eigensolve(self, monkeypatch):
+        # rho's trace and positivity are checked in the workers, on the
+        # eigenvalues mixed_spectrum takes for S(rho), not again in the parent
+        full = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(matrix):
+            if matrix.shape == (16, 16):
+                full.append(matrix.shape)
+            return eigvalsh(matrix)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        cfg = ExperimentConfig(
+            qubit_range=(4,), steps=6, epsilon_grid=(3e-3, 3e-2), n_realizations=40
+        )
+        result = run_noise_sweep(cfg, snapshot_times=[3, 6])
+        assert len(result.bound_rows) == 8
+        assert full == []
+
     def test_pool_size_does_not_change_csvs(self, tmp_path, monkeypatch):
         written = []
         for cpus in (1, 2):
@@ -394,7 +413,7 @@ class TestSpectrumPool:
         assert written[0] == written[1]
 
     def test_sweep_counts_worker_copies_in_memory_guard(self, monkeypatch):
-        # room for one trajectory run at n_q = 4 with R = N (6 matrices) but
+        # room for one trajectory run at n_q = 4 with R = N (4 matrices) but
         # not for the copies of two workers besides
         monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10 * 16 * 4**4)
         monkeypatch.setattr(experiments, "available_cpus", lambda: 2)

@@ -205,14 +205,14 @@ class TestRunTrajectories:
     @pytest.mark.parametrize("n_q", [2, 3, 4, 5])
     def test_block_columns_match_single_state_evolution(self, n_q):
         # column r of each snapshot's block is the standalone noisy
-        # evolution of realization r, drawn in one block per trajectory
+        # evolution of realization r, drawn in one block per trajectory;
+        # 11 realizations make uneven batches of 2, 2, 2, 1, 1, 1, 1, 1
         params = MapParams(n_q)
         init = momentum_basis_state(params)
         circuit = build_step_circuit(params)
-        eps, seed, n_real = 0.05, 29, 5
-        res = run_trajectories(
-            params, 4, eps, n_real, seed, init, snapshot_times=[2, 4], batch_count=2
-        )
+        eps, seed, n_real = 0.05, 29, 11
+        res = run_trajectories(params, 4, eps, n_real, seed, init, snapshot_times=[2, 4])
+        assert [sl.stop - sl.start for sl in res.snapshots[4].batch_slices] == [2] * 3 + [1] * 5
         for s in (2, 4):
             block = res.snapshots[s].amplitudes
             assert block.shape == (params.N, n_real)
@@ -286,22 +286,22 @@ class TestBatchSlices:
 
 class TestMemoryGuard:
     def test_estimate_nq12_two_times(self, monkeypatch):
-        # R = 4N: 2 blocks of 1.07 GB, then 2 rhos and 4 temporaries of
+        # R = 4N: 2 blocks of 1.07 GB, then 2 rhos and 2 temporaries of
         # 268 MB; nothing of that size is allocated
         monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 3 * 10**9)
         with pytest.raises(
             ValidationError,
-            match=r"needs ~3\.8 GB: 2\.1 GB of amplitude blocks, 6 N x N matrices of 268 MB",
+            match=r"needs ~3\.2 GB: 2\.1 GB of amplitude blocks, 4 N x N matrices of 268 MB",
         ):
             require_memory(12, 2, 4 * 4096)
         monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 4 * 10**9)
         require_memory(12, 2, 4 * 4096)
 
     def test_extra_matrices_count(self, monkeypatch):
-        # n_q = 4, R = N: the block is one matrix's worth, so the run needs 6
+        # n_q = 4, R = N: the block is one matrix's worth, so the run needs 4
         # matrices and each worker 4 more plus a batch of 2 columns
         per_matrix = 16 * 4**4
-        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10 * per_matrix)
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 8 * per_matrix)
         require_memory(4, 1, 16)
         with pytest.raises(ValidationError, match="for 1 spectrum worker"):
             require_memory(4, 1, 16, workers=1)

@@ -1,9 +1,11 @@
+import ast
 import re
 from pathlib import Path
 
 import entforge
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 EXPORTS = {
     "__version__",
@@ -38,3 +40,37 @@ def test_readme_imports_are_exported():
     names = readme_imports()
     assert names
     assert names <= set(entforge.__all__)
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names a module imports but never reads; names in ``__all__`` count as read."""
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= set(ast.literal_eval(node.value))
+    return imported - used
+
+
+def test_unused_imports_are_found():
+    source = "import os\nimport numpy as np\nfrom a import b, c\nc()\n"
+    assert unused_imports(source) == {"os", "np", "b"}
+    source = "from __future__ import annotations\nfrom a import b\n__all__ = ['b']\n"
+    assert unused_imports(source) == set()
+
+
+def test_no_module_imports_an_unused_name():
+    paths = sorted((ROOT / "src" / "entforge").rglob("*.py")) + sorted(
+        (ROOT / "tests").rglob("*.py")
+    )
+    assert paths
+    unused = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text()) for p in paths}
+    assert {name: names for name, names in unused.items() if names} == {}
