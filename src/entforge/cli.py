@@ -1,11 +1,15 @@
-"""Command-line front end: config parsing, dispatch, and bit-exact data files.
+"""Command-line front end: one option table, the subcommands, and one writer
+for their bit-exact data files.
 
 Subcommands: generate, spectrum, noise-sweep, threshold, calibrate-gamma,
-validate.  Every experiment writes CSV tables (floats at 17 significant
-digits, round-trip exact), a machine-readable summary.json, and a
-manifest.json recording the resolved configuration, gate counts, and
-sha256 digests of the data files.  Repeating an invocation reproduces the
-data files byte for byte (the manifest's wall-clock field is exempt).
+validate.  Each ExperimentConfig setting is one entry of ``OPTIONS``,
+which gives its config-file key, flag and parser.  Each experiment hands
+its CSV tables (floats at 17 significant digits, round-trip exact) and its
+summary to ``_finish``, the only code that writes a command's files: the
+CSVs, a machine-readable summary.json, and a manifest.json recording the
+resolved configuration, gate counts, and sha256 digests of the data files.
+Repeating an invocation reproduces the data files byte for byte (the
+manifest's wall-clock field is exempt).
 
 Config files are flat ``key = value`` text; command-line flags override
 file values with a warning, unknown keys are errors.  The master seed
@@ -19,7 +23,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
+import warnings
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -46,30 +51,6 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_NO_BRACKET = 3
 
-#: keys accepted in config files; each names a flag, with ``_`` for ``-``
-CONFIG_KEYS = {
-    "nq",
-    "k_param",
-    "steps",
-    "eps_grid",
-    "realizations",
-    "seed",
-    "out",
-    "strict",
-    "refine",
-    "haar_samples",
-    "fraction",
-}
-
-COMMAND_DEFAULTS = {
-    "generate": {"nq": (4, 6, 8, 10), "eps_grid": ()},
-    "spectrum": {"nq": (4, 6, 8, 10), "eps_grid": ()},
-    "noise-sweep": {"nq": (4, 6, 8), "eps_grid": "1e-3:1e-1:log:11"},
-    "threshold": {"nq": (4, 6, 8), "eps_grid": "1e-3:1e-1:log:11"},
-    "calibrate-gamma": {"nq": (4, 6), "eps_grid": "1e-4:1e-2:log:7"},
-    "validate": {"nq": (4, 6), "eps_grid": ()},
-}
-
 
 def parse_epsilon_grid(spec: str) -> tuple[float, ...]:
     """Grid syntax: 'start:stop:log|lin:count' or comma-separated values."""
@@ -93,10 +74,51 @@ def parse_epsilon_grid(spec: str) -> tuple[float, ...]:
     return tuple(float(v) for v in spec.split(","))
 
 
-def parse_qubit_list(spec) -> tuple[int, ...]:
-    if isinstance(spec, tuple):
-        return spec
-    return tuple(int(v) for v in str(spec).split(","))
+def parse_qubit_list(spec: str) -> tuple[int, ...]:
+    return tuple(int(v) for v in spec.split(","))
+
+
+def _parse_realizations(text: str) -> int | str:
+    return text if text == "auto" else int(text)
+
+
+def _parse_bool(text: str) -> bool:
+    return text.lower() == "true"
+
+
+#: experiment options by config-file key: the ExperimentConfig field each
+#: sets, the parser of its text, and its flag's help.  A key's flag is
+#: ``--key`` with ``-`` for ``_``; a ``_parse_bool`` option's flag is a switch.
+OPTIONS = {
+    "nq": ("qubit_range", parse_qubit_list, "comma list of even qubit counts"),
+    "k_param": ("k_param", float, "chaos parameter K"),
+    "steps": ("steps", int, "map iterations t"),
+    "eps_grid": (
+        "epsilon_grid", parse_epsilon_grid, "noise grid: start:stop:log|lin:count or comma list"
+    ),
+    "realizations": (
+        "n_realizations", _parse_realizations, "trajectories per grid point, or 'auto'"
+    ),
+    "strict": ("strict", _parse_bool, None),
+    "refine": (
+        "refine_threshold", _parse_bool, "one refinement simulation at each interpolated threshold"
+    ),
+    "haar_samples": ("haar_samples", int, None),
+    "fraction": ("threshold_fraction", float, "threshold drop fraction"),
+}
+
+#: keys accepted in config files
+CONFIG_KEYS = {*OPTIONS, "seed", "out"}
+
+#: per-command option texts that replace ExperimentConfig's defaults
+COMMAND_DEFAULTS = {
+    "generate": {"nq": "4,6,8,10", "eps_grid": ""},
+    "spectrum": {"nq": "4,6,8,10", "eps_grid": ""},
+    "noise-sweep": {"nq": "4,6,8", "eps_grid": "1e-3:1e-1:log:11"},
+    "threshold": {"nq": "4,6,8", "eps_grid": "1e-3:1e-1:log:11"},
+    "calibrate-gamma": {"nq": "4,6", "eps_grid": "1e-4:1e-2:log:7"},
+    "validate": {"nq": "4,6", "eps_grid": ""},
+}
 
 
 def _read_config_file(path: Path) -> dict:
@@ -114,59 +136,43 @@ def _read_config_file(path: Path) -> dict:
     return values
 
 
-def _parse_bool(value: str) -> bool:
-    return value.lower() == "true"
+def _parsed(key: str, raw):
+    """``raw`` text parsed by option ``key``'s parser; None and switch values pass."""
+    if not isinstance(raw, str):
+        return raw
+    try:
+        return OPTIONS[key][1](raw)
+    except ValueError as exc:
+        raise ValidationError(f"{key}: {exc}") from None
 
 
-def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path, dict]:
-    """Resolve defaults, config file, and flags into an ExperimentConfig."""
+def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
+    """Resolve flags, then the config file, then the command's defaults into
+    an ExperimentConfig and the output directory."""
     defaults = COMMAND_DEFAULTS[args.command]
     file_values = _read_config_file(Path(args.config)) if args.config else {}
-
-    def pick(key, flag_value, convert):
-        file_value = file_values.get(key)
-        if flag_value is not None:
-            if file_value is not None and convert(file_value) != flag_value:
-                print(
-                    f"warning: flag overrides config file value for '{key}'",
-                    file=sys.stderr,
-                )
-            return flag_value
-        if file_value is not None:
-            return convert(file_value)
-        return defaults.get(key)
-
-    # unset values (None) fall back to ExperimentConfig's defaults
-    resolved = {
-        "qubit_range": pick("nq", args.nq, parse_qubit_list),
-        "k_param": pick("k_param", args.k_param, float),
-        "steps": pick("steps", args.steps, int),
-        "epsilon_grid": pick("eps_grid", args.eps_grid, str),
-        "n_realizations": pick("realizations", args.realizations, str),
-        "strict": pick("strict", args.strict, _parse_bool),
-        "refine_threshold": pick("refine", args.refine, _parse_bool),
-        "haar_samples": pick("haar_samples", args.haar_samples, int),
-        "threshold_fraction": pick("fraction", args.fraction, float),
-    }
+    fields = {}
+    for key, (field, _, _) in OPTIONS.items():
+        flag_value = _parsed(key, getattr(args, key))
+        file_value = _parsed(key, file_values.get(key, defaults.get(key)))
+        if flag_value is not None and key in file_values and flag_value != file_value:
+            print(f"warning: flag overrides config file value for '{key}'", file=sys.stderr)
+        value = file_value if flag_value is None else flag_value
+        if value is not None:  # unset values fall back to ExperimentConfig's defaults
+            fields[field] = value
 
     if args.seed is not None:
-        resolved["master_seed"] = args.seed
+        fields["master_seed"] = args.seed
     elif "seed" in file_values:
-        resolved["master_seed"] = int(file_values["seed"])
+        fields["master_seed"] = int(file_values["seed"])
     elif os.environ.get("ENTFORGE_SEED"):
-        resolved["master_seed"] = int(os.environ["ENTFORGE_SEED"])
+        fields["master_seed"] = int(os.environ["ENTFORGE_SEED"])
 
     out = Path(args.out if args.out is not None else file_values.get("out", "entforge-out"))
-
-    if resolved["n_realizations"] not in (None, "auto"):
-        resolved["n_realizations"] = int(resolved["n_realizations"])
-    if isinstance(resolved["epsilon_grid"], str):
-        resolved["epsilon_grid"] = parse_epsilon_grid(resolved["epsilon_grid"])
-    config = ExperimentConfig(**{k: v for k, v in resolved.items() if v is not None})
-    return config, out, file_values
+    return ExperimentConfig(**fields), out
 
 
-# --- output helpers -------------------------------------------------------------
+# --- output ---------------------------------------------------------------------
 
 
 def _fmt(value) -> str:
@@ -186,27 +192,6 @@ def write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-@dataclass
-class RunManifest:
-    """Reproducibility record: the resolved config plus file digests."""
-
-    version: str
-    command: str
-    config: dict
-    master_seed: int
-    gate_counts: dict
-    gamma_convention: str
-    duration_seconds: float
-    files: dict
-
-    def write(self, path: Path) -> None:
-        write_json(path, asdict(self))
-
-
 def _gate_count_table(config: ExperimentConfig) -> dict:
     table = {}
     for n_q in config.qubit_range:
@@ -219,41 +204,42 @@ def _gate_count_table(config: ExperimentConfig) -> dict:
     return table
 
 
-def _finish(command, config, out_dir, data_files, summary, started) -> None:
-    summary_path = out_dir / "summary.json"
-    write_json(summary_path, summary)
-    files = {p.name: _digest(p) for p in data_files + [summary_path]}
-    manifest = RunManifest(
-        __version__,
-        command,
-        {
-            "qubit_range": list(config.qubit_range),
-            "k_param": config.k_param,
-            "steps": config.steps,
-            "epsilon_grid": [_fmt(e) for e in config.epsilon_grid],
-            "n_realizations": config.n_realizations,
-            "strict": config.strict,
-            "refine_threshold": config.refine_threshold,
-            "haar_samples": config.haar_samples,
-            "threshold_fraction": config.threshold_fraction,
+def _finish(command, config, out_dir, tables, summary, started) -> None:
+    """Write a command's files: each ``{file name: (header, rows)}`` table as
+    CSV, then summary.json, then manifest.json, the reproducibility record
+    of the resolved config and of every file's sha256 digest."""
+    for name, (header, rows) in tables.items():
+        write_csv(out_dir / name, header, rows)
+    write_json(out_dir / "summary.json", summary)
+    resolved = asdict(config)
+    del resolved["master_seed"]  # recorded at the manifest's top level
+    resolved["epsilon_grid"] = [_fmt(e) for e in config.epsilon_grid]
+    manifest = {
+        "version": __version__,
+        "command": command,
+        "config": resolved,
+        "master_seed": config.master_seed,
+        "gate_counts": _gate_count_table(config),
+        "gamma_convention": (
+            f"calibrated gamma uses the built decomposition's count; the "
+            f"reference convention (3 nq^2 + nq, gamma ~ {REFERENCE_GAMMA}) is "
+            f"reported alongside"
+        ),
+        "duration_seconds": time.perf_counter() - started,
+        "files": {
+            name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+            for name in [*tables, "summary.json"]
         },
-        config.master_seed,
-        _gate_count_table(config),
-        f"calibrated gamma uses the built decomposition's count; the "
-        f"reference convention (3 nq^2 + nq, gamma ~ {REFERENCE_GAMMA}) is "
-        f"reported alongside",
-        time.perf_counter() - started,
-        files,
+    }
+    write_json(out_dir / "manifest.json", manifest)
+
+
+def _fits_table(fits: dict) -> tuple[list[str], list[tuple]]:
+    """fits.csv: one row per named fit, in name order."""
+    return (
+        ["dataset", "exponent_or_rate", "prefactor", "r_squared"],
+        [(name, f.exponent_or_rate, f.prefactor, f.r_squared) for name, f in sorted(fits.items())],
     )
-    manifest.write(out_dir / "manifest.json")
-
-
-def _fit_rows(fits: dict) -> list[tuple]:
-    rows = []
-    for name in sorted(fits):
-        f = fits[name]
-        rows.append((name, f.exponent_or_rate, f.prefactor, f.r_squared))
-    return rows
 
 
 # --- subcommand runners -----------------------------------------------------------
@@ -269,13 +255,13 @@ def _cmd_generate(config: ExperimentConfig, out_dir: Path, started: float) -> in
                 (n_q, int(s.times[t]), float(s.mean_entropy[t]), s.page,
                  float(s.page - s.mean_entropy[t]))
             )
-    gen_path = out_dir / "generation.csv"
-    write_csv(gen_path, ["nq", "t", "mean_entropy", "page_value", "gap"], rows)
     fits = {f"tau_nq{n}": result.series[n].tau_fit for n in config.qubit_range}
     if result.tau_vs_nq:
         fits["tau_vs_nq_linear"] = result.tau_vs_nq
-    fits_path = out_dir / "fits.csv"
-    write_csv(fits_path, ["dataset", "exponent_or_rate", "prefactor", "r_squared"], _fit_rows(fits))
+    tables = {
+        "generation.csv": (["nq", "t", "mean_entropy", "page_value", "gap"], rows),
+        "fits.csv": _fits_table(fits),
+    }
     summary = {
         "taus": {str(n): result.series[n].tau for n in config.qubit_range},
         "page_values": {str(n): page_value(n) for n in config.qubit_range},
@@ -284,13 +270,13 @@ def _cmd_generate(config: ExperimentConfig, out_dir: Path, started: float) -> in
         },
         "tau_vs_nq": asdict(result.tau_vs_nq) if result.tau_vs_nq else None,
     }
-    _finish("generate", config, out_dir, [gen_path, fits_path], summary, started)
+    _finish("generate", config, out_dir, tables, summary, started)
     return EXIT_OK
 
 
 def _cmd_spectrum(config: ExperimentConfig, out_dir: Path, started: float) -> int:
     result = run_spectrum(config)
-    data_files = []
+    tables = {}
     for family in ("sawtooth", "haar"):
         rows = []
         for n_q in config.qubit_range:
@@ -299,20 +285,15 @@ def _cmd_spectrum(config: ExperimentConfig, out_dir: Path, started: float) -> in
                 (n_q, int(mask), float(v))
                 for mask, v in zip(fam.sample_masks, fam.samples)
             )
-        path = out_dir / f"spectrum_samples_{family}.csv"
-        write_csv(path, ["nq", "bipartition_mask", "entropy"], rows)
-        data_files.append(path)
+        tables[f"spectrum_samples_{family}.csv"] = (["nq", "bipartition_mask", "entropy"], rows)
     stats_rows = []
     for (n_q, family) in sorted(result.families):
         fam = result.families[(n_q, family)]
         stats_rows.append((n_q, fam.mean, fam.std, fam.relative_std, family))
-    stats_path = out_dir / "spectrum_stats.csv"
-    write_csv(stats_path, ["nq", "mean", "std", "rel_std", "family"], stats_rows)
-    data_files.append(stats_path)
-    fits = {f"relstd_{family}": fit for family, fit in result.rate_fits.items()}
-    fits_path = out_dir / "fits.csv"
-    write_csv(fits_path, ["dataset", "exponent_or_rate", "prefactor", "r_squared"], _fit_rows(fits))
-    data_files.append(fits_path)
+    tables["spectrum_stats.csv"] = (["nq", "mean", "std", "rel_std", "family"], stats_rows)
+    tables["fits.csv"] = _fits_table(
+        {f"relstd_{family}": fit for family, fit in result.rate_fits.items()}
+    )
     summary = {
         "rates": {family: asdict(fit) for family, fit in result.rate_fits.items()},
         "relative_std": {
@@ -320,31 +301,27 @@ def _cmd_spectrum(config: ExperimentConfig, out_dir: Path, started: float) -> in
             for (n, family) in result.families
         },
     }
-    _finish("spectrum", config, out_dir, data_files, summary, started)
+    _finish("spectrum", config, out_dir, tables, summary, started)
     return EXIT_OK
 
 
-def _sweep_tables(config, sweep, out_dir):
-    rows = [
-        (r.n_qubits, r.epsilon, r.bound_kind, r.mean, r.std, r.stderr, r.n_realizations)
-        for r in sweep.bound_rows
-    ]
-    sweep_path = out_dir / "noise_sweep.csv"
-    write_csv(
-        sweep_path,
-        ["nq", "eps", "bound_kind", "mean", "std", "stderr", "n_realizations"],
-        rows,
-    )
-    fid_path = out_dir / "fidelity.csv"
-    write_csv(
-        fid_path,
-        ["nq", "eps", "fidelity", "stderr", "n_realizations"],
-        [
-            (r.n_qubits, r.epsilon, r.fidelity, r.stderr, r.n_realizations)
-            for r in sweep.fidelity_rows
-        ],
-    )
-    return [sweep_path, fid_path]
+def _sweep_tables(sweep) -> dict:
+    return {
+        "noise_sweep.csv": (
+            ["nq", "eps", "bound_kind", "mean", "std", "stderr", "n_realizations"],
+            [
+                (r.n_qubits, r.epsilon, r.bound_kind, r.mean, r.std, r.stderr, r.n_realizations)
+                for r in sweep.bound_rows
+            ],
+        ),
+        "fidelity.csv": (
+            ["nq", "eps", "fidelity", "stderr", "n_realizations"],
+            [
+                (r.n_qubits, r.epsilon, r.fidelity, r.stderr, r.n_realizations)
+                for r in sweep.fidelity_rows
+            ],
+        ),
+    }
 
 
 def _predictions(config, gamma_cal: GammaCalibration | None):
@@ -374,8 +351,6 @@ def _predictions(config, gamma_cal: GammaCalibration | None):
 
 
 def _safe_predict(eps, n_q, t, gamma, n_g):
-    import warnings
-
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         value = predicted_entropy(eps, n_q, t, gamma, n_g)
@@ -383,17 +358,21 @@ def _safe_predict(eps, n_q, t, gamma, n_g):
     return {"value": value, "in_regime": in_regime}
 
 
-def _try_sweep_gamma(config, sweep):
+def _sweep_gamma(config, sweep) -> dict:
+    """Summary entries for the gamma fitted to a sweep's fidelities (None
+    when the sweep does not determine it) and the predictions it gives."""
     try:
-        return calibrate_gamma(config, sweep=sweep)
+        gamma_cal = calibrate_gamma(config, sweep=sweep)
     except ValidationError:
-        return None
+        gamma_cal = None
+    return {
+        "gamma": asdict(gamma_cal) if gamma_cal else None,
+        "predictions": _predictions(config, gamma_cal),
+    }
 
 
 def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) -> int:
     sweep = run_noise_sweep(config)
-    data_files = _sweep_tables(config, sweep, out_dir)
-    gamma_cal = _try_sweep_gamma(config, sweep)
     summary = {
         "pure_reference": {
             f"{n}:{t}:{kind}": v for (n, t, kind), v in sweep.pure_reference.items()
@@ -403,11 +382,10 @@ def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) ->
             for r in sweep.bound_rows
             if not r.converged
         ],
-        "gamma": asdict(gamma_cal) if gamma_cal else None,
-        "predictions": _predictions(config, gamma_cal),
         "initial_momentum": sweep.initial_momentum,
+        **_sweep_gamma(config, sweep),
     }
-    _finish("noise-sweep", config, out_dir, data_files, summary, started)
+    _finish("noise-sweep", config, out_dir, _sweep_tables(sweep), summary, started)
     if config.strict and summary["unconverged_points"]:
         print(
             f"error: {len(summary['unconverged_points'])} unconverged grid points",
@@ -418,29 +396,19 @@ def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) ->
 
 
 def _cmd_threshold(config: ExperimentConfig, out_dir: Path, started: float) -> int:
-    try:
-        result = find_threshold(config)
-    except ThresholdBracketError as exc:
-        print(f"error: no-bracket: {exc}", file=sys.stderr)
-        return EXIT_NO_BRACKET
-    data_files = _sweep_tables(config, result.sweep, out_dir)
-    thr_path = out_dir / "threshold.csv"
-    write_csv(
-        thr_path,
+    result = find_threshold(config)
+    fits = {
+        f"threshold_t{t}_{kind}": fit for (t, kind), fit in result.fits.items()
+    }
+    tables = _sweep_tables(result.sweep)
+    tables["threshold.csv"] = (
         ["nq", "t", "bound_kind", "eps_threshold", "method"],
         [
             (r.n_qubits, r.time, r.bound_kind, r.eps_threshold, r.method)
             for r in result.rows
         ],
     )
-    data_files.append(thr_path)
-    fits = {
-        f"threshold_t{t}_{kind}": fit for (t, kind), fit in result.fits.items()
-    }
-    fits_path = out_dir / "fits.csv"
-    write_csv(fits_path, ["dataset", "exponent_or_rate", "prefactor", "r_squared"], _fit_rows(fits))
-    data_files.append(fits_path)
-    gamma_cal = _try_sweep_gamma(config, result.sweep)
+    tables["fits.csv"] = _fits_table(fits)
     summary = {
         "thresholds": [
             {
@@ -453,10 +421,9 @@ def _cmd_threshold(config: ExperimentConfig, out_dir: Path, started: float) -> i
             for r in result.rows
         ],
         "fits": {name: asdict(fit) for name, fit in fits.items()},
-        "gamma": asdict(gamma_cal) if gamma_cal else None,
-        "predictions": _predictions(config, gamma_cal),
+        **_sweep_gamma(config, result.sweep),
     }
-    _finish("threshold", config, out_dir, data_files, summary, started)
+    _finish("threshold", config, out_dir, tables, summary, started)
     return EXIT_OK
 
 
@@ -466,14 +433,13 @@ def _cmd_calibrate_gamma(config: ExperimentConfig, out_dir: Path, started: float
         "gamma_actual_convention": cal.fit_actual,
         "gamma_reference_convention": cal.fit_reference,
     }
-    fits_path = out_dir / "fits.csv"
-    write_csv(fits_path, ["dataset", "exponent_or_rate", "prefactor", "r_squared"], _fit_rows(fits))
-    points_path = out_dir / "gamma_points.csv"
-    write_csv(
-        points_path,
-        ["nq", "t", "eps", "fidelity"],
-        [(n, t, e, f) for n, t, e, f in cal.points],
-    )
+    tables = {
+        "fits.csv": _fits_table(fits),
+        "gamma_points.csv": (
+            ["nq", "t", "eps", "fidelity"],
+            [(n, t, e, f) for n, t, e, f in cal.points],
+        ),
+    }
     summary = {
         "gamma_actual": cal.gamma_actual,
         "gamma_reference_convention": cal.gamma_reference_convention,
@@ -481,7 +447,7 @@ def _cmd_calibrate_gamma(config: ExperimentConfig, out_dir: Path, started: float
         "fits": {name: asdict(fit) for name, fit in fits.items()},
         "predictions": _predictions(config, cal),
     }
-    _finish("calibrate-gamma", config, out_dir, [fits_path, points_path], summary, started)
+    _finish("calibrate-gamma", config, out_dir, tables, summary, started)
     return EXIT_OK
 
 
@@ -515,43 +481,25 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", help="flat key = value config file")
-        cmd.add_argument("--nq", type=parse_qubit_list, help="comma list of even qubit counts")
-        cmd.add_argument("--k-param", dest="k_param", type=float, help="chaos parameter K")
-        cmd.add_argument("--steps", type=int, help="map iterations t")
-        cmd.add_argument(
-            "--eps-grid",
-            dest="eps_grid",
-            help="noise grid: start:stop:log|lin:count or comma list",
-        )
-        cmd.add_argument(
-            "--realizations", help="trajectories per grid point, or 'auto'"
-        )
+        for key, (_, parse, help_text) in OPTIONS.items():
+            switch = {"action": "store_true"} if parse is _parse_bool else {}
+            cmd.add_argument("--" + key.replace("_", "-"), default=None, help=help_text, **switch)
         cmd.add_argument("--seed", type=int, help="master seed")
         cmd.add_argument("--out", help="output directory")
-        cmd.add_argument("--strict", action="store_true", default=None)
-        cmd.add_argument("--refine", action="store_true", default=None,
-                         help="one refinement simulation at each interpolated threshold")
-        cmd.add_argument("--haar-samples", dest="haar_samples", type=int)
-        cmd.add_argument("--fraction", type=float, help="threshold drop fraction")
     return parser
 
 
-def dispatch(command: str, config: ExperimentConfig, out_dir: Path) -> int:
-    started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return COMMANDS[command](config, out_dir, started)
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config, out_dir, _ = parse_config(args)
-    except (ValidationError, ValueError) as exc:
+        config, out_dir = parse_config(args)
+    except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    started = time.perf_counter()
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        return dispatch(args.command, config, out_dir)
+        return COMMANDS[args.command](config, out_dir, started)
     except ThresholdBracketError as exc:
         print(f"error: no-bracket: {exc}", file=sys.stderr)
         return EXIT_NO_BRACKET

@@ -94,17 +94,18 @@ class DensityMatrix:
         amps = state.amplitudes
         return cls(state.n_qubits, np.outer(amps, amps.conj()))
 
-    def validate(self) -> None:
-        """Check Hermiticity, unit trace, and positivity."""
-        asym = float(np.max(np.abs(self.matrix - self.matrix.conj().T)))
-        if asym > HERMITICITY_ATOL:
-            raise ValidationError(f"matrix asymmetry {asym} exceeds {HERMITICITY_ATOL}")
+    def validate(self) -> np.ndarray:
+        """Check Hermiticity (through ``hermitian_eigenvalues``), unit trace
+        within ``TRACE_ATOL`` and positivity within ``PSD_ATOL``; return the
+        ascending eigenvalues the check took."""
+        eigs = hermitian_eigenvalues(self.matrix)
         trace = complex(np.trace(self.matrix))
         if abs(trace - 1.0) > TRACE_ATOL:
             raise ValidationError(f"trace {trace} deviates from 1 by > {TRACE_ATOL}")
-        smallest = float(hermitian_eigenvalues(self.matrix)[0])
+        smallest = float(eigs[0])
         if smallest < -PSD_ATOL:
             raise ValidationError(f"smallest eigenvalue {smallest} < -{PSD_ATOL}")
+        return eigs
 
 
 @dataclass(frozen=True)

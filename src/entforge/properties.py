@@ -17,7 +17,6 @@ from .core import (
     StateVector,
     apply_one_qubit_gate,
     fidelity,
-    hermitian_eigenvalues,
     partial_transpose,
     reduced_density_matrix,
     trace_norm,
@@ -174,11 +173,9 @@ def check_trajectory_state(seed) -> CheckResult:
     init = momentum_basis_state(params, 1)
     res = run_trajectories(params, 6, 6e-3, 32, seed, init)
     try:
-        rho = res.final.rho  # formed on first use
-        rho.validate()
+        eigs = res.final.rho.validate()  # rho is formed on first use
     except Exception as exc:
         return CheckResult("noise-averaged state invariants", False, str(exc))
-    eigs = hermitian_eigenvalues(rho.matrix)
     return CheckResult(
         "noise-averaged state invariants",
         True,

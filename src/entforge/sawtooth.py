@@ -360,13 +360,6 @@ class _Window:
 
 
 @dataclass
-class _DiagonalSegment:
-    """Maximal run of consecutive diagonal gates, sorted into windows."""
-
-    windows: list[_Window]
-
-
-@dataclass
 class _MixingSegment:
     """Single Hadamard; ``tilt`` indexes the sequence's Hadamards in order."""
 
@@ -378,22 +371,23 @@ class _MixingSegment:
 class CompiledCircuit:
     """Execution plan for a GateSequence over (N, batch) amplitude arrays.
 
-    Segments group the gates into runs of diagonal gates and single
-    Hadamards.  Each Hadamard updates the two halves of its qubit in place.
-    A diagonal run is split over windows of qubits derived from n alone,
-    with L the low half (q < n//2) and H the high half: each gate goes to
-    the window L, the window H, or, when it links H-qubit h to L, the
-    window {h} + L.  Per step, a window's (2^k, B) table is the product of
-    its gates' (2, B) and (2, 2, B) phase factors, and the (N, B) block is
-    multiplied by each table once, in place; at n = 8 that is 32 passes over
-    the block for the 128 diagonal gates, and a table is at most 64 KB at
-    B = 128.  The factors are cos + i*sin of one (S, B) angle table
-    (nominal angles plus draws).  The noise draw layout (slots per gate, in
-    gate order) is that of the sequence.
+    Each segment is one pass over the block: a single Hadamard, which
+    updates the two halves of its qubit in place, or one window of a run of
+    diagonal gates.  A diagonal run is split over windows of qubits derived
+    from n alone, with L the low half (q < n//2) and H the high half: each
+    gate goes to the window L, the window H, or, when it links H-qubit h to
+    L, the window {h} + L.  Per step, a window's (2^k, B) table is the
+    product of its gates' (2, B) and (2, 2, B) phase factors, and the (N, B)
+    block is multiplied by each table once, in place; at n = 8 that is 32
+    passes over the block for the 128 diagonal gates (48 segments with the
+    16 Hadamards), and a table is at most 64 KB at B = 128.  The factors
+    are cos + i*sin of one (S, B) angle table (nominal angles plus draws).
+    The noise draw layout (slots per gate, in gate order) is that of the
+    sequence.
     """
 
     n_qubits: int
-    segments: list[_DiagonalSegment | _MixingSegment]
+    segments: list[_Window | _MixingSegment]
     draws_per_step: int
     #: (S, 1) nominal angle of every diagonal slot, in factor-table order
     phases: np.ndarray
@@ -424,13 +418,12 @@ class CompiledCircuit:
             if isinstance(seg, _MixingSegment):
                 _apply_mixing(amps, seg.qubit, tilts[:, :, seg.tilt])
                 continue
-            for w in seg.windows:
-                table = np.empty((2,) * len(w.qubits) + (factors.shape[1],), np.complex128)
-                first, *rest = w.factors
-                table[...] = factors[first.rows].reshape(first.shape)
-                for f in rest:
-                    table *= factors[f.rows].reshape(f.shape)
-                view *= table.reshape(w.shape)
+            table = np.empty((2,) * len(seg.qubits) + (factors.shape[1],), np.complex128)
+            first, *rest = seg.factors
+            table[...] = factors[first.rows].reshape(first.shape)
+            for f in rest:
+                table *= factors[f.rows].reshape(f.shape)
+            view *= table.reshape(seg.shape)
         return amps
 
 
@@ -473,7 +466,7 @@ def compile_circuit(seq: GateSequence) -> CompiledCircuit:
     n_q = seq.n_qubits
     low = tuple(range(n_q // 2 - 1, -1, -1))
     high = tuple(range(n_q - 1, n_q // 2 - 1, -1))
-    segments: list[_DiagonalSegment | _MixingSegment] = []
+    segments: list[_Window | _MixingSegment] = []
     windows: dict[tuple[int, ...], _Window] = {}  # of the current diagonal run
     phases: list[float] = []
     phase_rows: list[int] = []
@@ -481,20 +474,18 @@ def compile_circuit(seq: GateSequence) -> CompiledCircuit:
     offset = 0
     for gate in seq.gates:
         if gate.is_diagonal:
-            if not segments or isinstance(segments[-1], _MixingSegment):
-                segments.append(_DiagonalSegment([]))
-                windows = {}
             qubits = _window_qubits(gate, low, high)
             if qubits not in windows:
                 view_shape = tuple(2 if q in qubits else 1 for q in range(qubits[0], -1, -1))
                 windows[qubits] = _Window(qubits, view_shape + (-1,), [])
-                segments[-1].windows.append(windows[qubits])
+                segments.append(windows[qubits])
             slots, shape = _broadcast_slots(gate, qubits)
             rows = slice(len(phases), len(phases) + len(slots))
             windows[qubits].factors.append(_PhaseFactor(rows, shape))
             phases += [gate.phases[k] for k in slots]
             phase_rows += [offset + k for k in slots]
         else:
+            windows = {}  # a Hadamard ends the diagonal run
             segments.append(_MixingSegment(gate.qubits[0], len(tilt_rows)))
             tilt_rows.append(offset)
         offset += gate.noise_parameter_count

@@ -5,9 +5,12 @@ import numpy as np
 import pytest
 
 from entforge.cli import (
+    COMMANDS,
+    CONFIG_KEYS,
     EXIT_NO_BRACKET,
     EXIT_OK,
     EXIT_USAGE,
+    OPTIONS,
     build_parser,
     main,
     parse_config,
@@ -90,13 +93,45 @@ class TestConfigFile:
 
     def test_bare_parse_takes_dataclass_defaults(self, monkeypatch):
         monkeypatch.delenv("ENTFORGE_SEED", raising=False)
-        config, _, _ = parse_config(build_parser().parse_args(["noise-sweep"]))
+        config, _ = parse_config(build_parser().parse_args(["noise-sweep"]))
         defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
         for key in (
             "k_param", "steps", "haar_samples", "threshold_fraction", "strict",
             "refine_threshold",
         ):
             assert getattr(config, key) == defaults[key], key
+
+
+#: per option key: its flag, a text that differs from every command's
+#: default, and the field value that text must resolve to
+OPTION_SAMPLES = {
+    "nq": ("--nq", "4,6", (4, 6)),
+    "k_param": ("--k-param", "2.5", 2.5),
+    "steps": ("--steps", "7", 7),
+    "eps_grid": ("--eps-grid", "1e-3,2e-3", (1e-3, 2e-3)),
+    "realizations": ("--realizations", "12", 12),
+    "strict": ("--strict", "true", True),
+    "refine": ("--refine", "true", True),
+    "haar_samples": ("--haar-samples", "9", 9),
+    "fraction": ("--fraction", "0.25", 0.25),
+}
+
+
+class TestOptionTable:
+    def test_config_keys_are_the_options_plus_seed_and_out(self):
+        assert set(OPTIONS) == set(OPTION_SAMPLES)
+        assert CONFIG_KEYS == set(OPTIONS) | {"seed", "out"}
+
+    @pytest.mark.parametrize("key", sorted(OPTION_SAMPLES))
+    def test_key_sets_its_field_from_file_and_flag(self, tmp_path, key):
+        flag, text, value = OPTION_SAMPLES[key]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {text}\n")
+        flag_argv = [flag] if isinstance(value, bool) else [flag, text]
+        for command in COMMANDS:
+            for argv in ([command, "--config", str(cfg)], [command, *flag_argv]):
+                config, _ = parse_config(build_parser().parse_args(argv))
+                assert getattr(config, OPTIONS[key][0]) == value, argv
 
 
 class TestCountsRefusedBeforeWork:
@@ -146,6 +181,12 @@ class TestGenerateCommand:
         assert manifest["version"]
         assert manifest["gate_counts"]["4"]["per_step"] == 40
         assert manifest["gate_counts"]["4"]["reference_3nq2_plus_nq"] == 52
+
+    def test_manifest_config_lists_every_field_but_the_seed(self, generate_run):
+        _, out = generate_run
+        manifest = json.loads((out / "manifest.json").read_text())
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert set(manifest["config"]) == fields - {"master_seed"}
 
     def test_rerun_is_bit_identical(self, generate_run, tmp_path):
         _, out = generate_run

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -284,6 +285,21 @@ class TestNoiseSweepAndThreshold:
         assert kinds == {"lower", "upper"}
         for row in thr.rows:
             assert cfg.epsilon_grid[0] < row.eps_threshold < cfg.epsilon_grid[-1]
+
+    def test_refined_threshold_stays_in_its_bracket(self, sweep):
+        cfg, result = sweep
+        refine_cfg = dataclasses.replace(cfg, refine_threshold=True)
+        interpolated = find_threshold(cfg, sweep=result, snapshot_times=[10]).rows
+        refined = find_threshold(refine_cfg, sweep=result, snapshot_times=[10]).rows
+        assert [r.method for r in refined] == ["refined"] * len(interpolated)
+        for coarse, fine in zip(interpolated, refined):
+            assert (fine.n_qubits, fine.time, fine.bound_kind) == (
+                coarse.n_qubits, coarse.time, coarse.bound_kind
+            )
+            below = max(e for e in cfg.epsilon_grid if e <= coarse.eps_threshold)
+            above = min(e for e in cfg.epsilon_grid if e >= coarse.eps_threshold)
+            assert below <= fine.eps_threshold <= above
+        assert find_threshold(refine_cfg, sweep=result, snapshot_times=[10]).rows == refined
 
     def test_deterministic(self, sweep):
         cfg, result = sweep

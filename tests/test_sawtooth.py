@@ -14,6 +14,7 @@ from entforge.sawtooth import (
     Gate,
     GateKind,
     MapParams,
+    _Window,
     build_step_circuit,
     compile_circuit,
     evolve_circuit,
@@ -274,8 +275,8 @@ class TestCompiledCircuitReference:
         high = set(range(n_q // 2, n_q))
         allowed = [low, high] + [{h} | low for h in high]
         table_rows = []
-        for seg in compiled.segments:
-            for w in getattr(seg, "windows", []):
+        for w in compiled.segments:
+            if isinstance(w, _Window):
                 assert set(w.qubits) in allowed
                 for f in w.factors:
                     table_rows += range(compiled.phases.shape[0])[f.rows]
@@ -290,8 +291,9 @@ class TestCompiledCircuitReference:
 
     def test_diagonal_passes_per_step_at_eight_qubits(self):
         compiled = compile_circuit(build_step_circuit(MapParams(8)))
-        windows = [w for seg in compiled.segments for w in getattr(seg, "windows", [])]
+        windows = [w for w in compiled.segments if isinstance(w, _Window)]
         assert len(windows) == 32
+        assert len(compiled.segments) == 32 + 16  # one block pass each, Hadamards included
         assert max(len(w.qubits) for w in windows) == 5
 
 
