@@ -37,14 +37,6 @@ class RegimeWarning(UserWarning):
 
 
 @dataclass(frozen=True)
-class EntanglementSample:
-    """Entanglement value (bits) attached to one bipartition."""
-
-    bipartition: Bipartition
-    value: float
-
-
-@dataclass(frozen=True)
 class EntanglementStats:
     """Population statistics of entanglement over a bipartition set."""
 
@@ -65,10 +57,11 @@ class Histogram:
 
 @dataclass(frozen=True)
 class MixedSpectrum:
-    """Distillable-entanglement bounds over all balanced bipartitions."""
+    """Distillable-entanglement bounds (bits): ``lower`` and ``upper`` are
+    float arrays in ``enumerate_balanced_bipartitions`` order."""
 
-    lower: list[EntanglementSample]
-    upper: list[EntanglementSample]
+    lower: np.ndarray
+    upper: np.ndarray
     lower_stats: EntanglementStats
     upper_stats: EntanglementStats
     total_entropy: float  # S(rho), shared by every lower bound
@@ -85,11 +78,8 @@ def enumerate_balanced_bipartitions(n_q: int) -> list[Bipartition]:
 
 
 def stats(samples) -> EntanglementStats:
-    """Population mean / standard deviation over a complete bipartition set."""
-    values = np.asarray(
-        [s.value if isinstance(s, EntanglementSample) else float(s) for s in samples],
-        dtype=np.float64,
-    )
+    """Population mean / standard deviation of any float sequence, such as a spectrum."""
+    values = np.asarray(samples, dtype=np.float64)
     if values.size == 0:
         raise ValidationError("cannot compute statistics of an empty sample list")
     mean = float(values.mean())
@@ -102,10 +92,7 @@ def histogram(samples, bin_width: float) -> Histogram:
     """Normalized probability density over fixed-width bins."""
     if bin_width <= 0:
         raise ValidationError("bin_width must be positive")
-    values = np.asarray(
-        [s.value if isinstance(s, EntanglementSample) else float(s) for s in samples],
-        dtype=np.float64,
-    )
+    values = np.asarray(samples, dtype=np.float64)
     if values.size == 0:
         raise ValidationError("cannot histogram an empty sample list")
     lo, hi = float(values.min()), float(values.max())
@@ -118,12 +105,11 @@ def histogram(samples, bin_width: float) -> Histogram:
     return Histogram(edges, density, bin_width)
 
 
-def pure_spectrum(state: StateVector) -> list[EntanglementSample]:
-    """Reduced-state entropy for every balanced bipartition of a pure state."""
-    return [
-        EntanglementSample(p, von_neumann_entropy(reduced_density_matrix(state, p)))
-        for p in enumerate_balanced_bipartitions(state.n_qubits)
-    ]
+def pure_spectrum(state: StateVector) -> np.ndarray:
+    """Reduced-state entropy (bits) of a pure state per balanced bipartition,
+    as a float array in ``enumerate_balanced_bipartitions`` order."""
+    parts = enumerate_balanced_bipartitions(state.n_qubits)
+    return np.array([von_neumann_entropy(reduced_density_matrix(state, p)) for p in parts])
 
 
 def page_value(n_q: int) -> float:
@@ -180,12 +166,12 @@ def mixed_spectrum(rho: DensityMatrix) -> MixedSpectrum:
     # symmetrizing every partial transpose as log_negativity does.
     # Keep this copy: without it, minor page faults per call rose ~14x at n_q = 8.
     hermitian = DensityMatrix(rho.n_qubits, 0.5 * (rho.matrix + rho.matrix.conj().T))
-    lower, upper = [], []
-    for part in parts:
+    lower, upper = np.empty(len(parts)), np.empty(len(parts))
+    for i, part in enumerate(parts):
         s_a = von_neumann_entropy(reduced_density_matrix(rho, part))
-        lower.append(EntanglementSample(part, max(s_a - s_total, 0.0)))
+        lower[i] = max(s_a - s_total, 0.0)
         eigs = np.linalg.eigvalsh(partial_transpose(hermitian, part))
-        upper.append(EntanglementSample(part, math.log2(float(np.sum(np.abs(eigs))))))
+        upper[i] = math.log2(float(np.sum(np.abs(eigs))))
     return MixedSpectrum(lower, upper, stats(lower), stats(upper), s_total)
 
 

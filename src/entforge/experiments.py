@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+import sys
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -83,6 +84,8 @@ class ExperimentConfig:
             raise ValidationError("qubit_range must not be empty")
         if any(n % 2 or n < 2 for n in self.qubit_range):
             raise ValidationError("balanced bipartitions require even n_q >= 2")
+        if len(set(self.qubit_range)) != len(self.qubit_range):
+            raise ValidationError("qubit_range entries must be distinct")
         grid = tuple(float(e) for e in self.epsilon_grid)
         if any(e < 0 for e in grid):
             raise ValidationError("epsilon grid entries must be >= 0")
@@ -270,7 +273,7 @@ def run_generation(config: ExperimentConfig) -> GenerationResult:
 class SpectrumFamily:
     n_qubits: int
     family: str  # "sawtooth" | "haar"
-    samples: np.ndarray  # pooled entanglement values over states x bipartitions
+    samples: np.ndarray  # per-state spectra, concatenated in state order
     sample_masks: np.ndarray  # bipartition mask per pooled sample
     mean: float
     std: float
@@ -284,20 +287,11 @@ class SpectrumResult:
     rate_fits: dict[str, FitResult]  # family -> fit of relative_std vs n_q
 
 
-def _pure_spectrum_task(state) -> tuple[np.ndarray, np.ndarray]:
-    """``pure_spectrum`` of one state as (entropies, bipartition masks)."""
-    samples = pure_spectrum(state)
-    return (
-        np.array([s.value for s in samples]),
-        np.array([s.bipartition.a_mask for s in samples]),
-    )
-
-
 def _spectrum_family(n_q, family, spectra) -> SpectrumFamily:
-    """Pool the per-state (entropies, masks) of ``_pure_spectrum_task``."""
-    pooled = np.concatenate([values for values, _ in spectra])
-    masks = np.concatenate([state_masks for _, state_masks in spectra])
-    rels = [stats(values).relative_std for values, _ in spectra]
+    """Pool the per-state ``pure_spectrum`` arrays of one family."""
+    pooled = np.concatenate(spectra)
+    masks = np.tile([p.a_mask for p in enumerate_balanced_bipartitions(n_q)], len(spectra))
+    rels = [stats(values).relative_std for values in spectra]
     width = max((pooled.max() - pooled.min()) / 25.0, 1e-6)
     return SpectrumFamily(
         n_q,
@@ -335,7 +329,7 @@ def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
                 for i in range(config.haar_samples)
             ]
             for family, states in (("sawtooth", evolved), ("haar", haar_states)):
-                pending[(n_q, family)] = pool.map_async(_pure_spectrum_task, states, chunksize=1)
+                pending[(n_q, family)] = pool.map_async(pure_spectrum, states, chunksize=1)
         families = {
             (n_q, family): _spectrum_family(n_q, family, spectra.get())
             for (n_q, family), spectra in pending.items()
@@ -361,7 +355,6 @@ class BoundRow:
     bound_kind: str
     mean: float
     std: float
-    relative_std: float
     stderr: float  # batch-means standard error of the mean
     n_realizations: int
     converged: bool
@@ -418,8 +411,17 @@ def spectrum_pool(
     For a sweep, pass its trajectory run's ``n_q``, ``n_times`` snapshot
     times and ``n_realizations`` (default: the "auto" count): before the
     workers start, that run plus the workers' copies must fit in memory
-    (``noise.require_memory``).  Pure states need no such check.
+    (``noise.require_memory``).  Pure states need no such check.  A main
+    module the workers cannot re-import, as ``multiprocessing.spawn``
+    resolves it (a script piped into ``python -``), raises
+    ``ValidationError``: each worker would die on start, replaced forever.
     """
+    main = sys.modules["__main__"]
+    path = getattr(main, "__file__", None)
+    if getattr(main.__spec__, "name", None) is None and path is not None:
+        path = os.path.join(multiprocessing.process.ORIGINAL_DIR or "", path)
+        if not os.path.isfile(path):
+            raise ValidationError(f"spectrum workers cannot re-import the main module {path!r}")
     size = min(available_cpus(), 1 + DEFAULT_BATCH_COUNT)
     if n_q is not None:
         if n_realizations is None:
@@ -516,7 +518,6 @@ def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
                 kind,
                 kind_stats.mean,
                 kind_stats.std_dev,
-                kind_stats.relative_std,
                 _batch_stderr(batch_means[kind]),
                 n_real,
                 bool(drift <= CONVERGENCE_DRIFT),
@@ -573,9 +574,7 @@ def _noise_sweep(config: ExperimentConfig, times: list[int], pool) -> NoiseSweep
                 snap = result.snapshots[t]
                 spec, batch_specs = spectra[t]
                 bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
-                ordering_margin[(n_q, t, eps)] = min(
-                    up.value - lo.value for lo, up in zip(spec.lower, spec.upper)
-                )
+                ordering_margin[(n_q, t, eps)] = float(np.min(spec.upper - spec.lower))
                 total_entropy[(n_q, t, eps)] = spec.total_entropy
                 fid_err = _batch_stderr([snap.fidelities[sl].mean() for sl in snap.batch_slices])
                 fidelity_rows.append(
@@ -645,6 +644,8 @@ def find_threshold(
     times = _snapshot_times(config, snapshot_times)
     if sweep is None and not config.epsilon_grid:
         raise ValidationError("noise sweep needs a nonempty epsilon grid")
+    if any(e <= 0 for e in config.epsilon_grid):  # interpolation is in log epsilon
+        raise ValidationError("threshold epsilon grid entries must be > 0")
     needs_pool = sweep is None or config.refine_threshold
     n_q = max(config.qubit_range)
     pool_context = (

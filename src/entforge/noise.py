@@ -132,11 +132,10 @@ class TrajectorySnapshot:
 
     Column r of ``amplitudes`` is realization r.  At epsilon = 0 every
     trajectory is the noiseless one, so the block holds that single column.
-    rho is formed from the block on first use and kept; the batch rhos are
-    formed anew on each access.  Both are ``mixture`` of columns.
+    rho is formed on first use and kept; a batch's rho, which the spectrum
+    workers form, is the ``mixture`` of its ``batch_slices`` columns.
     """
 
-    time: int
     amplitudes: np.ndarray  # (N, n_realizations), or (N, 1) when noiseless
     n_realizations: int
     fidelities: np.ndarray  # |<ideal_t|psi_r,t>|^2 per realization
@@ -155,14 +154,6 @@ class TrajectorySnapshot:
         ``mixed_spectrum`` checks its trace and positivity on the eigenvalues
         it takes anyway."""
         return mixture(self.amplitudes)
-
-    @property
-    def batch_rhos(self) -> tuple[DensityMatrix, ...]:
-        """Batch sub-averages for batch-means error bars: the ``mixture`` of
-        each batch's columns."""
-        if self.noiseless:
-            return (self.rho,) * len(self.batch_slices)
-        return tuple(mixture(self.amplitudes[:, sl]) for sl in self.batch_slices)
 
 
 @dataclass
@@ -272,7 +263,7 @@ def run_trajectories(
         # all trajectories coincide with the noiseless evolution
         for s in times:
             result.snapshots[s] = TrajectorySnapshot(
-                s, ideals[s][:, None], n_realizations,
+                ideals[s][:, None], n_realizations,
                 np.ones(n_realizations), 1.0, noiseless=True,
             )
         return result
@@ -304,7 +295,7 @@ def run_trajectories(
 
     for s in times:
         result.snapshots[s] = TrajectorySnapshot(
-            s, blocks[s], n_realizations,
+            blocks[s], n_realizations,
             fidelities[s], float(fidelities[s].mean()),
         )
     return result

@@ -188,7 +188,7 @@ def check_bound_ordering(seed) -> CheckResult:
     init = momentum_basis_state(params, 1)
     res = run_trajectories(params, 6, 8e-3, 32, seed + 1, init)
     spec = mixed_spectrum(res.final.rho)
-    ok = all(lo.value <= up.value + 1e-9 for lo, up in zip(spec.lower, spec.upper))
+    ok = bool(np.all(spec.lower <= spec.upper + 1e-9))
     return CheckResult(
         "distillable bound ordering", ok, "lower <= upper on every bipartition"
     )

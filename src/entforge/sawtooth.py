@@ -190,11 +190,6 @@ class GateSequence:
     def gate_count(self) -> int:
         return len(self.gates)
 
-    @property
-    def noise_parameter_count(self) -> int:
-        """Noise draws consumed by one application of the sequence."""
-        return sum(g.noise_parameter_count for g in self.gates)
-
     def unitary(self) -> np.ndarray:
         """Dense matrix of the sequence; intended for small n_qubits."""
         dim = 2**self.n_qubits
@@ -205,20 +200,6 @@ class GateSequence:
     @cached_property
     def _compiled(self) -> "CompiledCircuit":
         return compile_circuit(self)
-
-
-def momentum_phase(n: int, params: MapParams) -> float:
-    """Free-rotation phase -T*n^2/2 of momentum level n."""
-    if not -params.N // 2 <= n < params.N // 2:
-        raise ValidationError(f"momentum {n} outside [-N/2, N/2)")
-    return -params.T * n * n / 2.0
-
-def theta_phase(l: int, params: MapParams) -> float:
-    """Kick phase k*(theta_l - pi)^2/2 at angle grid index l."""
-    if not 0 <= l < params.N:
-        raise ValidationError(f"grid index {l} outside [0, N)")
-    theta = 2.0 * math.pi * l / params.N
-    return params.k * (theta - math.pi) ** 2 / 2.0
 
 
 def momentum_basis_state(params: MapParams, n: int = 0) -> StateVector:

@@ -7,6 +7,7 @@ import pytest
 from entforge.cli import (
     COMMANDS,
     CONFIG_KEYS,
+    EXIT_FAILURE,
     EXIT_NO_BRACKET,
     EXIT_OK,
     EXIT_USAGE,
@@ -17,6 +18,7 @@ from entforge.cli import (
     parse_epsilon_grid,
     parse_qubit_list,
 )
+from entforge import experiments
 from entforge.core import ValidationError
 from entforge.entanglement import page_value
 from entforge.experiments import ExperimentConfig
@@ -143,6 +145,7 @@ class TestCountsRefusedBeforeWork:
             (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3", "--realizations", "-3"],
              "realizations"),
             (["spectrum", "--nq", "4,6,8", "--haar-samples", "0"], "haar_samples"),
+            (["generate", "--nq", "4,4,6", "--steps", "3"], "qubit_range"),
         ],
     )
     def test_exit_usage_naming_the_key(self, tmp_path, capsys, argv, key):
@@ -246,6 +249,23 @@ class TestThresholdCommand:
         )
         assert code == EXIT_NO_BRACKET
         assert "no-bracket" in capsys.readouterr().err
+
+    def test_zero_epsilon_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        # the log-epsilon interpolation cannot take eps = 0; refuse it
+        # before any trajectory runs or any worker starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for a grid the search refuses")
+
+        monkeypatch.setattr(experiments, "run_trajectories", no_work)
+        monkeypatch.setattr(experiments, "spectrum_pool", no_work)
+        code = main(
+            ["threshold", "--nq", "4", "--eps-grid", "0,0.05,0.3", "--steps", "6",
+             "--realizations", "16", "--out", str(tmp_path / "thr0")]
+        )
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "> 0" in err[0]
 
     def test_threshold_outputs(self, tmp_path):
         out = tmp_path / "thr2"

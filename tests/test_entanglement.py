@@ -58,12 +58,21 @@ class TestEnumerate:
 class TestPureSpectrum:
     def test_basis_state_all_zero(self):
         samples = pure_spectrum(StateVector.basis_state(4, 9))
-        assert all(s.value == pytest.approx(0.0, abs=1e-9) for s in samples)
+        assert all(s == pytest.approx(0.0, abs=1e-9) for s in samples)
 
     def test_ghz_all_one(self):
         samples = pure_spectrum(ghz_state(4))
         assert len(samples) == 3
-        assert all(s.value == pytest.approx(1.0, abs=1e-9) for s in samples)
+        assert all(s == pytest.approx(1.0, abs=1e-9) for s in samples)
+
+    @pytest.mark.parametrize("n_q", [4, 6])
+    def test_bipartition_order(self, n_q):
+        state = haar_random_state(n_q, 7)
+        spectrum = pure_spectrum(state)
+        parts = enumerate_balanced_bipartitions(n_q)
+        assert spectrum.dtype == np.float64 and spectrum.shape == (len(parts),)
+        for i, part in enumerate(parts):
+            assert spectrum[i] == von_neumann_entropy(reduced_density_matrix(state, part))
 
     def test_sawtooth_state_near_page(self):
         params = MapParams(8)
@@ -101,11 +110,11 @@ class TestHaarRandomState:
 def two_qubit_bounds(rho):
     """(lower, upper) of ``mixed_spectrum`` at n_q = 2, whose one balanced
     bipartition splits qubit 0 from qubit 1."""
+    assert enumerate_balanced_bipartitions(2) == [Bipartition(2, 0b01)]
     spec = mixed_spectrum(rho)
     (lower,), (upper,) = spec.lower, spec.upper
-    assert lower.bipartition == upper.bipartition == Bipartition(2, 0b01)
-    assert lower.value <= upper.value + 1e-9
-    return lower.value, upper.value
+    assert lower <= upper + 1e-9
+    return lower, upper
 
 
 class TestDistillableBounds:
@@ -140,15 +149,14 @@ class TestMixedSpectrum:
     def test_pure_input_lower_equals_entropy_spectrum(self):
         psi = haar_random_state(4, 2)
         spec = mixed_spectrum(DensityMatrix.from_pure(psi))
-        pure_vals = [s.value for s in pure_spectrum(psi)]
-        np.testing.assert_allclose([s.value for s in spec.lower], pure_vals, atol=1e-8)
+        np.testing.assert_allclose(spec.lower, pure_spectrum(psi), atol=1e-8)
 
     def test_ordering_lower_below_upper(self):
         params = MapParams(4)
         res = run_trajectories(params, 5, 8e-3, 32, 3, momentum_basis_state(params))
         spec = mixed_spectrum(res.final.rho)
         for lo, up in zip(spec.lower, spec.upper):
-            assert lo.value <= up.value + 1e-9
+            assert lo <= up + 1e-9
 
     @staticmethod
     def noisy_rho_with_asymmetry(asymmetry):
@@ -173,8 +181,8 @@ class TestMixedSpectrum:
         rho = self.noisy_rho_with_asymmetry(1e-12)
         assert np.max(np.abs(rho.matrix - rho.matrix.conj().T)) > 0.0
         spec = mixed_spectrum(rho)
-        assert [s.value for s in spec.upper] == [
-            log_negativity(rho, s.bipartition) for s in spec.upper
+        assert list(spec.upper) == [
+            log_negativity(rho, part) for part in enumerate_balanced_bipartitions(4)
         ]
 
     @staticmethod

@@ -1,5 +1,9 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +11,13 @@ import pytest
 from entforge import experiments, noise
 from entforge.cli import EXIT_OK, main
 from entforge.core import DensityMatrix, ValidationError, von_neumann_entropy
-from entforge.entanglement import haar_random_state, mixed_spectrum, pure_spectrum, stats
+from entforge.entanglement import (
+    enumerate_balanced_bipartitions,
+    haar_random_state,
+    mixed_spectrum,
+    pure_spectrum,
+    stats,
+)
 from entforge.experiments import (
     ExperimentConfig,
     ThresholdBracketError,
@@ -33,12 +43,15 @@ def assert_spectra_match(got, rho):
     """A pooled spectrum equals in-process ``mixed_spectrum(rho)`` to 1e-12."""
     want = mixed_spectrum(rho)
     for side in ("lower", "upper"):
-        np.testing.assert_allclose(
-            [s.value for s in getattr(got, side)],
-            [s.value for s in getattr(want, side)],
-            rtol=0,
-            atol=1e-12,
-        )
+        np.testing.assert_allclose(getattr(got, side), getattr(want, side), rtol=0, atol=1e-12)
+
+
+def batch_rhos(snap):
+    """Each batch's rho, the ``mixture`` of its columns as the spectrum
+    workers form it; a noiseless snapshot's batches all hold rho."""
+    if snap.noiseless:
+        return [snap.rho] * len(snap.batch_slices)
+    return [mixture(snap.amplitudes[:, sl]) for sl in snap.batch_slices]
 
 
 class TestConfig:
@@ -210,12 +223,9 @@ class TestPooledEnsembles:
             for family, states in families.items():
                 spectra = [pure_spectrum(state) for state in states]
                 fam = spectrum_result.families[(n_q, family)]
-                np.testing.assert_array_equal(
-                    fam.samples, [s.value for spectrum in spectra for s in spectrum]
-                )
-                np.testing.assert_array_equal(
-                    fam.sample_masks, [s.bipartition.a_mask for spectrum in spectra for s in spectrum]
-                )
+                np.testing.assert_array_equal(fam.samples, np.concatenate(spectra))
+                masks = [p.a_mask for p in enumerate_balanced_bipartitions(n_q)]
+                np.testing.assert_array_equal(fam.sample_masks, masks * len(states))
                 rels = [stats(spectrum).relative_std for spectrum in spectra]
                 assert fam.relative_std == float(np.mean(rels))
 
@@ -309,23 +319,35 @@ class TestNoiseSweepAndThreshold:
 
 
 class TestSpectrumPool:
+    def test_refuses_main_module_from_stdin(self):
+        # spawn workers re-import __main__; from '<stdin>' each one would
+        # die on start and the pool would replace it forever
+        script = (
+            "from entforge.experiments import spectrum_pool\n"
+            "with spectrum_pool() as pool:\n"
+            "    pool.apply(abs, (-1,))\n"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run(
+            [sys.executable, "-"], input=script, capture_output=True, text=True,
+            env=env, timeout=20,
+        )
+        assert run.returncode != 0
+        assert "cannot re-import the main module" in run.stderr
+        assert "FileNotFoundError" not in run.stderr
+
     @pytest.mark.parametrize("n_q", [4, 6])
     def test_pooled_spectra_match_in_process(self, n_q):
         params = MapParams(n_q)
         snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
-        rhos = [snap.rho, *snap.batch_rhos]
+        rhos = [snap.rho, *batch_rhos(snap)]
         with spectrum_pool(n_q, 1) as pool:
             pending = [submit_spectrum(pool, rho) for rho in rhos]
             pooled = [task.get() for task in pending]
         assert len(pooled) == len(rhos)
         for rho, got in zip(rhos, pooled):
-            want = mixed_spectrum(rho)
-            for side in ("lower", "upper"):
-                got_side, want_side = getattr(got, side), getattr(want, side)
-                assert [s.bipartition for s in got_side] == [s.bipartition for s in want_side]
-                np.testing.assert_allclose(
-                    [s.value for s in got_side], [s.value for s in want_side], rtol=0, atol=1e-12
-                )
+            assert_spectra_match(got, rho)
             assert got.total_entropy == pytest.approx(von_neumann_entropy(rho), rel=0, abs=1e-12)
             assert got.total_entropy > 0.01  # noisy, so genuinely mixed
 
@@ -333,7 +355,7 @@ class TestSpectrumPool:
     def test_worker_batch_rhos_match_in_process(self, n_q):
         params = MapParams(n_q)
         snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
-        in_process = snap.batch_rhos
+        in_process = batch_rhos(snap)
         tasks = [snap.amplitudes[:, sl] for sl in snap.batch_slices]
         with spectrum_pool(n_q, 1) as pool:
             formed = pool.map(mixture, tasks)
@@ -357,7 +379,7 @@ class TestSpectrumPool:
         for t, (spec, batch_specs) in spectra.items():
             snap = result.snapshots[t]
             assert len(batch_specs) == 8
-            for got, rho in zip([spec, *batch_specs], [snap.rho, *snap.batch_rhos]):
+            for got, rho in zip([spec, *batch_specs], [snap.rho, *batch_rhos(snap)]):
                 assert_spectra_match(got, rho)
 
     def test_noiseless_spectrum_computed_once(self, tmp_path, monkeypatch):
@@ -379,7 +401,7 @@ class TestSpectrumPool:
             result = run(params, t, eps, n_real, seed, init, snapshot_times=times, circuit=circuit)
             spectra = {}
             for time, snap in result.snapshots.items():
-                pending = [submit(pool, rho) for rho in [snap.rho, *snap.batch_rhos]]
+                pending = [submit(pool, rho) for rho in [snap.rho, *batch_rhos(snap)]]
                 spec, *batch_specs = [task.get() for task in pending]
                 spectra[time] = spec, batch_specs
             return result, spectra

@@ -9,6 +9,7 @@ from entforge.noise import (
     NoiseRealization,
     batch_slices,
     derive_seed,
+    mixture,
     perturb_one_qubit_gate,
     perturb_phase_gate,
     recommend_realizations,
@@ -227,8 +228,8 @@ class TestRunTrajectories:
         init = momentum_basis_state(params)
         snap = run_trajectories(params, 4, 0.0, 16, 1, init).final
         assert snap.amplitudes.shape == (params.N, 1)
-        assert len(snap.batch_rhos) == 8
-        assert all(b is snap.rho for b in snap.batch_rhos)
+        assert snap.noiseless
+        assert len(snap.batch_slices) == 8
 
     def test_snapshots_consistent_with_full_run(self):
         params = MapParams(3)
@@ -244,7 +245,8 @@ class TestRunTrajectories:
         params = MapParams(3)
         res = run_trajectories(params, 3, 5e-3, 16, 2, momentum_basis_state(params))
         snap = res.final
-        stacked = np.mean([b.matrix for b in snap.batch_rhos], axis=0)
+        batch_rhos = [mixture(snap.amplitudes[:, sl]) for sl in snap.batch_slices]
+        stacked = np.mean([b.matrix for b in batch_rhos], axis=0)
         np.testing.assert_allclose(stacked, snap.rho.matrix, atol=1e-12)
 
     def test_fidelity_decays_with_epsilon(self):

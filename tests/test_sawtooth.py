@@ -15,16 +15,15 @@ from entforge.sawtooth import (
     GateKind,
     MapParams,
     _Window,
+    _phase_tables,
     build_step_circuit,
     compile_circuit,
     evolve_circuit,
     evolve_exact,
     inverse_participation_ratio,
     momentum_basis_state,
-    momentum_phase,
     reference_gate_count,
     rotation_matrix,
-    theta_phase,
     tilted_axis,
 )
 
@@ -71,38 +70,45 @@ class TestMapParams:
 
 
 class TestPhases:
+    """The split-operator oracle's phase tables: exp(-i*T*n^2/2) per
+    momentum level n (stored at index n + N/2) and exp(i*k*(theta_l - pi)^2/2)
+    per angle grid index l."""
+
     def test_momentum_phase_zero(self):
-        assert momentum_phase(0, MapParams(4)) == 0.0
+        p = MapParams(4)
+        momentum, _, _ = _phase_tables(p)
+        assert momentum[p.N // 2] == 1.0
 
     def test_momentum_phase_value(self):
         # -T/2 at n=1 with T = 2*pi/16
-        assert momentum_phase(1, MapParams(4)) == pytest.approx(-0.19634954084936207)
+        p = MapParams(4)
+        momentum, _, _ = _phase_tables(p)
+        assert np.angle(momentum[p.N // 2 + 1]) == pytest.approx(-0.19634954084936207)
 
     def test_momentum_phase_even(self):
         p = MapParams(5)
+        momentum, _, _ = _phase_tables(p)
         for n in range(1, p.N // 2):
-            assert momentum_phase(n, p) == momentum_phase(-n, p)
-
-    def test_momentum_phase_range(self):
-        with pytest.raises(ValidationError):
-            momentum_phase(8, MapParams(4))
+            assert momentum[p.N // 2 + n] == momentum[p.N // 2 - n]
 
     def test_theta_phase_zero_at_pi(self):
         p = MapParams(4)
-        assert theta_phase(p.N // 2, p) == 0.0
+        _, kick, _ = _phase_tables(p)
+        assert kick[p.N // 2] == 1.0
 
     def test_theta_phase_value(self):
-        # k*pi^2/2 = K*N*pi/4 = 6*pi for n_q=4, K=1.5
-        assert theta_phase(0, MapParams(4)) == pytest.approx(6 * math.pi)
+        # k*pi^2/2 = K*N*pi/4 = 6*pi at l = 0 and k*(pi/2)^2/2 = 1.5*pi at
+        # l = N/4, for n_q=4, K=1.5
+        p = MapParams(4)
+        _, kick, _ = _phase_tables(p)
+        assert kick[0] == pytest.approx(np.exp(6j * math.pi), abs=1e-12)
+        assert kick[p.N // 4] == pytest.approx(np.exp(1.5j * math.pi), abs=1e-12)
 
     def test_theta_phase_symmetry(self):
         p = MapParams(4)
+        _, kick, _ = _phase_tables(p)
         for l in range(1, p.N):
-            assert theta_phase(l, p) == pytest.approx(theta_phase(p.N - l, p), abs=1e-12)
-
-    def test_theta_phase_range(self):
-        with pytest.raises(ValidationError):
-            theta_phase(16, MapParams(4))
+            assert kick[l] == pytest.approx(kick[p.N - l], abs=1e-12)
 
 
 class TestGate:
