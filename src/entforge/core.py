@@ -208,8 +208,11 @@ def apply_two_qubit_phase(
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix.
 
-    Asymmetry up to ``HERMITICITY_ATOL`` (rounding debris from Monte-Carlo
-    accumulation) is symmetrized away; anything larger is an error.
+    Asymmetry up to ``HERMITICITY_ATOL`` is symmetrized away; anything
+    larger is an error.  Every rho an experiment forms comes from
+    ``noise.mixture`` and is Hermitian bit for bit, and so are its partial
+    traces; rounding asymmetry can still arrive in a matrix a caller builds
+    another way, such as its own ``DensityMatrix``.
     """
     asym = float(np.max(np.abs(matrix - matrix.conj().T)))
     if asym > HERMITICITY_ATOL:

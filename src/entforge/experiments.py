@@ -86,7 +86,11 @@ class ExperimentConfig:
             raise ValidationError("balanced bipartitions require even n_q >= 2")
         if len(set(self.qubit_range)) != len(self.qubit_range):
             raise ValidationError("qubit_range entries must be distinct")
+        if not math.isfinite(self.k_param):
+            raise ValidationError("k_param must be finite")
         grid = tuple(float(e) for e in self.epsilon_grid)
+        if not all(math.isfinite(e) for e in grid):
+            raise ValidationError("epsilon grid entries must be finite")
         if any(e < 0 for e in grid):
             raise ValidationError("epsilon grid entries must be >= 0")
         if any(b <= a for a, b in zip(grid, grid[1:])):
@@ -103,9 +107,11 @@ class ExperimentConfig:
         if not 0 < self.threshold_fraction < 1:
             raise ValidationError("threshold_fraction must be in (0, 1)")
 
-    def realizations_for(self, n_q: int) -> int:
+    def realizations_for(self, n_q: int, bound_kind: str) -> int:
+        """Trajectories per grid point: ``n_realizations``, or under "auto"
+        ``recommend_realizations``' rule for ``bound_kind``."""
         if self.n_realizations == "auto":
-            return recommend_realizations(n_q, "upper")
+            return recommend_realizations(n_q, bound_kind)
         return int(self.n_realizations)
 
 
@@ -396,25 +402,24 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def pool_size() -> int:
+    """Workers of a ``spectrum_pool``: min(available CPUs, 1 + DEFAULT_BATCH_COUNT)."""
+    return min(available_cpus(), 1 + DEFAULT_BATCH_COUNT)
+
+
 @contextmanager
-def spectrum_pool(
-    n_q: int | None = None, n_times: int = 1, n_realizations: int | None = None
-):
+def spectrum_pool():
     """Worker processes for entanglement spectra, one BLAS thread each.
 
     A single eigensolve gains nothing from a second BLAS thread here, and
     Python threads serialize on it, so spectra run one per process:
-    min(available CPUs, 1 + DEFAULT_BATCH_COUNT) workers, the ``spawn``
-    method (a forked child inherits the parent's BLAS threads).  The
-    pure-state experiments map their ensembles over the workers; a noise
-    sweep sends each batch's spectrum while its trajectories still run.
-    For a sweep, pass its trajectory run's ``n_q``, ``n_times`` snapshot
-    times and ``n_realizations`` (default: the "auto" count): before the
-    workers start, that run plus the workers' copies must fit in memory
-    (``noise.require_memory``).  Pure states need no such check.  A main
-    module the workers cannot re-import, as ``multiprocessing.spawn``
-    resolves it (a script piped into ``python -``), raises
-    ``ValidationError``: each worker would die on start, replaced forever.
+    ``pool_size()`` workers, the ``spawn`` method (a forked child inherits
+    the parent's BLAS threads).  The pure-state experiments map their
+    ensembles over the workers; a noise sweep sends each batch's spectrum
+    while its trajectories still run.  A main module the workers cannot
+    re-import, as ``multiprocessing.spawn`` resolves it (a script piped into
+    ``python -``), raises ``ValidationError``: each worker would die on
+    start, replaced forever.
     """
     main = sys.modules["__main__"]
     path = getattr(main, "__file__", None)
@@ -422,15 +427,10 @@ def spectrum_pool(
         path = os.path.join(multiprocessing.process.ORIGINAL_DIR or "", path)
         if not os.path.isfile(path):
             raise ValidationError(f"spectrum workers cannot re-import the main module {path!r}")
-    size = min(available_cpus(), 1 + DEFAULT_BATCH_COUNT)
-    if n_q is not None:
-        if n_realizations is None:
-            n_realizations = recommend_realizations(n_q, "upper")
-        require_memory(n_q, n_times, n_realizations, workers=size)
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:  # a spawn pool starts every worker in its constructor
-        pool = multiprocessing.get_context("spawn").Pool(size)
+        pool = multiprocessing.get_context("spawn").Pool(pool_size())
     finally:
         for name, value in saved.items():
             if value is None:
@@ -457,12 +457,35 @@ def submit_spectrum(pool, task):
     return pool.apply_async(_spectrum_task, (task,))
 
 
-def trajectory_spectra(
-    pool, params, t, epsilon, n_realizations, master_seed, initial, snapshot_times,
-    circuit=None,
+def grid_point(
+    config: ExperimentConfig, n_q: int, eps: float, times: list[int],
+    stream: str = "noise-sweep", bound_kind: str = "upper", on_batch=None,
 ):
-    """``run_trajectories`` with the spectra of each snapshot's rho and batch
-    rhos computed in ``pool``.
+    """``run_trajectories`` of grid point (n_q, eps), recorded at ``times``.
+
+    The run starts from |n = DEFAULT_INITIAL_MOMENTUM> of
+    ``MapParams(n_q, config.k_param)``, evolves ``config.realizations_for(n_q,
+    bound_kind)`` trajectories for max(times) steps, and draws its noise
+    from the sub-seed of (``config.master_seed``, ``stream``, n_q, eps), so
+    a point run twice in one stream gives the same trajectories.
+    ``on_batch`` is passed on.
+    """
+    params = MapParams(n_q, config.k_param)
+    return run_trajectories(
+        params,
+        max(times),
+        eps,
+        config.realizations_for(n_q, bound_kind),
+        derive_seed(config.master_seed, stream, n_q, f"{eps:.17g}"),
+        momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM),
+        snapshot_times=times,
+        on_batch=on_batch,
+    )
+
+
+def trajectory_spectra(pool, config: ExperimentConfig, n_q: int, eps: float, times: list[int]):
+    """The sweep's ``grid_point`` run with the spectra of each snapshot's rho
+    and batch rhos computed in ``pool``.
 
     Each batch's spectrum task is sent as soon as the run has finished that
     batch's columns at a snapshot time, so the workers compute while later
@@ -471,22 +494,12 @@ def trajectory_spectra(
     Returns the run's result and, per snapshot time, (rho's spectrum, the
     batch spectra in batch order).
     """
-    streamed = {s: [] for s in snapshot_times}
+    streamed = {s: [] for s in times}
 
     def send_batch(time, columns):
         streamed[time].append(submit_spectrum(pool, columns))
 
-    result = run_trajectories(
-        params,
-        t,
-        epsilon,
-        n_realizations,
-        master_seed,
-        initial,
-        snapshot_times=snapshot_times,
-        circuit=circuit,
-        on_batch=send_batch,
-    )
+    result = grid_point(config, n_q, eps, times, on_batch=send_batch)
     rho_specs = {s: submit_spectrum(pool, snap.rho) for s, snap in result.snapshots.items()}
     spectra = {}
     for s, snap in result.snapshots.items():
@@ -530,6 +543,18 @@ def _snapshot_times(config: ExperimentConfig, snapshot_times) -> list[int]:
     return sorted(set(snapshot_times if snapshot_times is not None else [config.steps]))
 
 
+def _sweep_pool(config: ExperimentConfig, times: list[int]):
+    """The ``spectrum_pool`` of a sweep at snapshot ``times``, once the
+    epsilon grid is known nonempty and the largest register's grid point
+    and the workers' copies are known to fit in memory
+    (``noise.require_memory``)."""
+    if not config.epsilon_grid:
+        raise ValidationError("noise sweep needs a nonempty epsilon grid")
+    n_q = max(config.qubit_range)
+    require_memory(n_q, len(times), config.realizations_for(n_q, "upper"), workers=pool_size())
+    return spectrum_pool()
+
+
 def run_noise_sweep(
     config: ExperimentConfig, snapshot_times: list[int] | None = None
 ) -> NoiseSweepResult:
@@ -539,11 +564,8 @@ def run_noise_sweep(
     The spectra run in a ``spectrum_pool``, so a script calling this needs
     an ``if __name__ == "__main__":`` guard.
     """
-    if not config.epsilon_grid:
-        raise ValidationError("noise sweep needs a nonempty epsilon grid")
     times = _snapshot_times(config, snapshot_times)
-    n_q = max(config.qubit_range)
-    with spectrum_pool(n_q, len(times), config.realizations_for(n_q)) as pool:
+    with _sweep_pool(config, times) as pool:
         return _noise_sweep(config, times, pool)
 
 
@@ -563,15 +585,11 @@ def _noise_sweep(config: ExperimentConfig, times: list[int], pool) -> NoiseSweep
             pure_reference[(n_q, t, "upper")] = float(
                 np.mean([pure_log_negativity(ideal, p) for p in parts])
             )
-        n_real = config.realizations_for(n_q)
-        circuit = build_step_circuit(params)
         for eps in config.epsilon_grid:
-            seed = derive_seed(config.master_seed, "noise-sweep", n_q, f"{eps:.17g}")
-            result, spectra = trajectory_spectra(
-                pool, params, max(times), eps, n_real, seed, init, times, circuit
-            )
+            result, spectra = trajectory_spectra(pool, config, n_q, eps, times)
             for t in times:
                 snap = result.snapshots[t]
+                n_real = snap.n_realizations
                 spec, batch_specs = spectra[t]
                 bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
                 ordering_margin[(n_q, t, eps)] = float(np.min(spec.upper - spec.lower))
@@ -629,31 +647,23 @@ def interpolate_threshold(curve, target: float) -> float:
 
 
 def find_threshold(
-    config: ExperimentConfig,
-    sweep: NoiseSweepResult | None = None,
-    snapshot_times: list[int] | None = None,
+    config: ExperimentConfig, sweep: NoiseSweepResult | None = None
 ) -> ThresholdResult:
     """Noise amplitude at which each bound mean drops to
     ``config.threshold_fraction`` of its eps=0 value, with a power-law fit
     of threshold vs register size.
 
-    With ``refine_threshold`` set, one extra simulation at the interpolated
-    amplitude tightens the bracket before the final interpolation.  Spectra
-    run in a ``spectrum_pool``, as in ``run_noise_sweep``.
+    The snapshot times are the given sweep's, or [``config.steps``] for the
+    sweep run here.  With ``refine_threshold`` set, one extra simulation at
+    the interpolated amplitude tightens the bracket before the final
+    interpolation.  Spectra run in a ``spectrum_pool``, as in
+    ``run_noise_sweep``.
     """
-    times = _snapshot_times(config, snapshot_times)
-    if sweep is None and not config.epsilon_grid:
-        raise ValidationError("noise sweep needs a nonempty epsilon grid")
     if any(e <= 0 for e in config.epsilon_grid):  # interpolation is in log epsilon
         raise ValidationError("threshold epsilon grid entries must be > 0")
+    times = sorted({r.time for r in sweep.bound_rows}) if sweep is not None else [config.steps]
     needs_pool = sweep is None or config.refine_threshold
-    n_q = max(config.qubit_range)
-    pool_context = (
-        spectrum_pool(n_q, len(times), config.realizations_for(n_q))
-        if needs_pool
-        else nullcontext()
-    )
-    with pool_context as pool:
+    with _sweep_pool(config, times) if needs_pool else nullcontext() as pool:
         if sweep is None:
             sweep = _noise_sweep(config, times, pool)
         return _thresholds(config, times, sweep, pool)
@@ -687,18 +697,7 @@ def _thresholds(config, times, sweep, pool) -> ThresholdResult:
 
 
 def _refine_threshold(config, pool, n_q, t, kind, curve, target, eps_star):
-    params = MapParams(n_q, config.k_param)
-    init = momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM)
-    seed = derive_seed(config.master_seed, "noise-sweep", n_q, f"{eps_star:.17g}")
-    result = run_trajectories(
-        params,
-        t,
-        eps_star,
-        config.realizations_for(n_q),
-        seed,
-        init,
-        snapshot_times=[t],
-    )
+    result = grid_point(config, n_q, eps_star, [t])
     spec = submit_spectrum(pool, result.snapshots[t].rho).get()
     mean = spec.lower_stats.mean if kind == "lower" else spec.upper_stats.mean
     refined_curve = sorted(curve + [(eps_star, mean)])
@@ -728,38 +727,18 @@ def calibrate_gamma(
     if not config.epsilon_grid:
         raise ValidationError("gamma calibration needs a nonempty epsilon grid")
     times = _snapshot_times(config, snapshot_times)
-    points: list[tuple[int, int, float, float]] = []
-    gate_counts: dict[int, int] = {}
     if sweep is None:
+        points = []
         for n_q in config.qubit_range:
-            params = MapParams(n_q, config.k_param)
-            init = momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM)
-            n_real = (
-                recommend_realizations(n_q, "lower")
-                if config.n_realizations == "auto"
-                else int(config.n_realizations)
-            )
-            circuit = build_step_circuit(params)
-            gate_counts[n_q] = circuit.gate_count
             for eps in config.epsilon_grid:
-                seed = derive_seed(config.master_seed, "gamma", n_q, f"{eps:.17g}")
-                result = run_trajectories(
-                    params,
-                    max(times),
-                    eps,
-                    n_real,
-                    seed,
-                    init,
-                    snapshot_times=times,
-                    circuit=circuit,
-                )
-                for t in times:
-                    points.append((n_q, t, eps, result.snapshots[t].mean_fidelity))
+                result = grid_point(config, n_q, eps, times, stream="gamma", bound_kind="lower")
+                points.extend((n_q, t, eps, result.snapshots[t].mean_fidelity) for t in times)
     else:
-        for row in sweep.fidelity_rows:
-            points.append((row.n_qubits, row.time, row.epsilon, row.fidelity))
-        for n_q in {p[0] for p in points}:
-            gate_counts[n_q] = build_step_circuit(MapParams(n_q, config.k_param)).gate_count
+        points = [(r.n_qubits, r.time, r.epsilon, r.fidelity) for r in sweep.fidelity_rows]
+    gate_counts = {
+        n_q: build_step_circuit(MapParams(n_q, config.k_param)).gate_count
+        for n_q in {p[0] for p in points}
+    }
 
     xs_actual, xs_reference, ys, kept = [], [], [], []
     for n_q, t, eps, fid in points:

@@ -28,7 +28,6 @@ from .core import DensityMatrix, StateVector, ValidationError
 from .sawtooth import (
     Gate,
     GateKind,
-    GateSequence,
     MapParams,
     build_step_circuit,
     evolve_exact,
@@ -218,7 +217,6 @@ def run_trajectories(
     master_seed: int,
     initial: StateVector,
     snapshot_times: list[int] | None = None,
-    circuit: GateSequence | None = None,
     on_batch=None,
 ) -> TrajectoryResult:
     """Noisy trajectories from ``initial``, recorded at ``snapshot_times``
@@ -239,15 +237,15 @@ def run_trajectories(
         raise ValidationError("n_realizations must be >= 1")
     if epsilon < 0:
         raise ValidationError("epsilon must be >= 0")
+    if not math.isfinite(epsilon):
+        raise ValidationError("epsilon must be finite")
     if initial.n_qubits != params.n_q:
         raise ValidationError("initial state and params disagree on qubit count")
     times = sorted(set(snapshot_times if snapshot_times is not None else [t]))
     if not times or times[-1] > t or times[0] < 0:
         raise ValidationError("snapshot times must lie in [0, t]")
     require_memory(params.n_q, len(times), n_realizations)
-    if circuit is None:
-        circuit = build_step_circuit(params)
-    compiled = circuit._compiled
+    compiled = build_step_circuit(params)._compiled
 
     ideals = {}
     state = initial

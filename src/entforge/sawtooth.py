@@ -56,6 +56,8 @@ class MapParams:
     def __post_init__(self) -> None:
         if self.n_q < 1:
             raise ValidationError("n_q must be >= 1")
+        if not math.isfinite(self.K):
+            raise ValidationError("K must be finite")
         if abs(self.T * self.N - 2.0 * math.pi) > 1e-12:
             raise ValidationError("T*N != 2*pi")
         if abs(self.k * self.T - self.K) > 1e-12:
@@ -498,6 +500,8 @@ def evolve_circuit(
         raise ValidationError("step count must be >= 0")
     if epsilon < 0:
         raise ValidationError("epsilon must be >= 0")
+    if not math.isfinite(epsilon):
+        raise ValidationError("epsilon must be finite")
     if state.n_qubits != circuit.n_qubits:
         raise ValidationError("state and circuit disagree on qubit count")
     compiled = circuit._compiled

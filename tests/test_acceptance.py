@@ -170,9 +170,7 @@ def test_criterion_7_threshold_scaling(sweep_config, acceptance_sweep):
     # The 1/n_q law of analytic_threshold is the large-n_q limit of the
     # perturbative entropy; at n_q <= 8 the exponent follows from the full
     # formula applied to the noiseless lower-bound references.
-    result = find_threshold(
-        sweep_config, sweep=acceptance_sweep, snapshot_times=[15, 30]
-    )
+    result = find_threshold(sweep_config, sweep=acceptance_sweep)
     b_pred = {}
     for t in (15, 30):
         pts = [
@@ -241,7 +239,7 @@ def test_criterion_8_analytic_consistency(sweep_config, acceptance_sweep, gamma_
                         f"(n_q={n_q}, t={t}, eps={row.epsilon:.3g})"
                     )
     # analytic threshold within a factor of two of the simulated one
-    thr = find_threshold(sweep_config, sweep=sweep, snapshot_times=[15, 30])
+    thr = find_threshold(sweep_config, sweep=sweep)
     ratios = []
     for row in thr.rows:
         if row.bound_kind != "lower":

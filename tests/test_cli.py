@@ -146,6 +146,10 @@ class TestCountsRefusedBeforeWork:
              "realizations"),
             (["spectrum", "--nq", "4,6,8", "--haar-samples", "0"], "haar_samples"),
             (["generate", "--nq", "4,4,6", "--steps", "3"], "qubit_range"),
+            (["generate", "--nq", "4", "--steps", "3", "--k-param", "nan"], "k_param"),
+            (["generate", "--nq", "4", "--steps", "3", "--k-param", "inf"], "k_param"),
+            (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3,inf"], "epsilon grid"),
+            (["calibrate-gamma", "--nq", "4", "--eps-grid", "1e-4,1e-3,nan"], "epsilon grid"),
         ],
     )
     def test_exit_usage_naming_the_key(self, tmp_path, capsys, argv, key):

@@ -27,6 +27,7 @@ from entforge.experiments import (
     fit_linear,
     fit_power_law,
     generation_ensemble,
+    grid_point,
     interpolate_threshold,
     run_generation,
     run_noise_sweep,
@@ -35,7 +36,7 @@ from entforge.experiments import (
     submit_spectrum,
     trajectory_spectra,
 )
-from entforge.noise import derive_seed, mixture, run_trajectories
+from entforge.noise import derive_seed, mixture, recommend_realizations, run_trajectories
 from entforge.sawtooth import MapParams, evolve_exact, momentum_basis_state
 
 
@@ -65,12 +66,14 @@ class TestConfig:
 
     def test_auto_realizations(self):
         cfg = ExperimentConfig()
-        assert cfg.realizations_for(4) == 64
-        assert cfg.realizations_for(8) == 1024
+        assert cfg.realizations_for(4, "upper") == 64
+        assert cfg.realizations_for(8, "upper") == 1024
+        assert cfg.realizations_for(8, "lower") == 64
 
     def test_explicit_realizations(self):
         cfg = ExperimentConfig(n_realizations=37)
-        assert cfg.realizations_for(8) == 37
+        assert cfg.realizations_for(8, "upper") == 37
+        assert cfg.realizations_for(8, "lower") == 37
 
 
 class TestFits:
@@ -290,7 +293,7 @@ class TestNoiseSweepAndThreshold:
 
     def test_threshold_from_sweep(self, sweep):
         cfg, result = sweep
-        thr = find_threshold(cfg, sweep=result, snapshot_times=[10])
+        thr = find_threshold(cfg, sweep=result)
         kinds = {r.bound_kind for r in thr.rows}
         assert kinds == {"lower", "upper"}
         for row in thr.rows:
@@ -299,8 +302,8 @@ class TestNoiseSweepAndThreshold:
     def test_refined_threshold_stays_in_its_bracket(self, sweep):
         cfg, result = sweep
         refine_cfg = dataclasses.replace(cfg, refine_threshold=True)
-        interpolated = find_threshold(cfg, sweep=result, snapshot_times=[10]).rows
-        refined = find_threshold(refine_cfg, sweep=result, snapshot_times=[10]).rows
+        interpolated = find_threshold(cfg, sweep=result).rows
+        refined = find_threshold(refine_cfg, sweep=result).rows
         assert [r.method for r in refined] == ["refined"] * len(interpolated)
         for coarse, fine in zip(interpolated, refined):
             assert (fine.n_qubits, fine.time, fine.bound_kind) == (
@@ -309,7 +312,36 @@ class TestNoiseSweepAndThreshold:
             below = max(e for e in cfg.epsilon_grid if e <= coarse.eps_threshold)
             above = min(e for e in cfg.epsilon_grid if e >= coarse.eps_threshold)
             assert below <= fine.eps_threshold <= above
-        assert find_threshold(refine_cfg, sweep=result, snapshot_times=[10]).rows == refined
+        assert find_threshold(refine_cfg, sweep=result).rows == refined
+
+    def test_refinement_on_a_grid_point_reproduces_its_sweep_mean(self, sweep, monkeypatch):
+        # refinement and sweep run a grid point through the same seed stream
+        cfg, result = sweep
+        eps = cfg.epsilon_grid[3]
+        curves = []
+
+        def at_grid_point(curve, target):
+            curves.append(curve)
+            return eps
+
+        monkeypatch.setattr(experiments, "interpolate_threshold", at_grid_point)
+        find_threshold(dataclasses.replace(cfg, refine_threshold=True), sweep=result)
+        # per bound kind: the grid's curve, then the refined curve holding eps twice
+        assert len(curves) == 4
+        for kind, refined in zip(("lower", "upper"), curves[1::2]):
+            (row,) = [r for r in result.rows_for(4, 10, kind) if r.epsilon == eps]
+            assert [m for e, m in refined if e == eps] == [row.mean, row.mean]
+
+    def test_threshold_times_come_from_the_sweep(self):
+        cfg = ExperimentConfig(
+            qubit_range=(4,), steps=6, epsilon_grid=tuple(np.geomspace(3e-3, 3e-1, 5)),
+            n_realizations=40,
+        )
+        two_times = run_noise_sweep(cfg, snapshot_times=[3, 6])
+        rows = find_threshold(cfg, two_times).rows
+        assert [(r.time, r.bound_kind) for r in rows] == [
+            (3, "lower"), (3, "upper"), (6, "lower"), (6, "upper")
+        ]
 
     def test_deterministic(self, sweep):
         cfg, result = sweep
@@ -342,7 +374,7 @@ class TestSpectrumPool:
         params = MapParams(n_q)
         snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
         rhos = [snap.rho, *batch_rhos(snap)]
-        with spectrum_pool(n_q, 1) as pool:
+        with spectrum_pool() as pool:
             pending = [submit_spectrum(pool, rho) for rho in rhos]
             pooled = [task.get() for task in pending]
         assert len(pooled) == len(rhos)
@@ -353,15 +385,15 @@ class TestSpectrumPool:
 
     @pytest.mark.parametrize("n_q", [4, 6])
     def test_worker_batch_rhos_match_in_process(self, n_q):
-        params = MapParams(n_q)
-        snap = run_trajectories(params, 6, 2e-2, 40, 5, momentum_basis_state(params)).final
+        cfg = ExperimentConfig(
+            qubit_range=(n_q,), steps=6, epsilon_grid=(2e-2,), n_realizations=40, master_seed=5
+        )
+        snap = grid_point(cfg, n_q, 2e-2, [6]).final
         in_process = batch_rhos(snap)
         tasks = [snap.amplitudes[:, sl] for sl in snap.batch_slices]
-        with spectrum_pool(n_q, 1) as pool:
+        with spectrum_pool() as pool:
             formed = pool.map(mixture, tasks)
-            _, spectra = trajectory_spectra(
-                pool, params, 6, 2e-2, 40, 5, momentum_basis_state(params), [6]
-            )
+            _, spectra = trajectory_spectra(pool, cfg, n_q, 2e-2, [6])
         spec, batch_specs = spectra[6]
         assert len(formed) == len(batch_specs) == len(in_process) == 8
         for got, want in zip(formed, in_process):
@@ -370,11 +402,11 @@ class TestSpectrumPool:
             assert_spectra_match(got, rho)
 
     def test_streamed_spectra_match_in_process_at_two_times(self):
-        params = MapParams(4)
-        with spectrum_pool(4, 2) as pool:
-            result, spectra = trajectory_spectra(
-                pool, params, 6, 2e-2, 40, 5, momentum_basis_state(params), [3, 6]
-            )
+        cfg = ExperimentConfig(
+            qubit_range=(4,), steps=6, epsilon_grid=(2e-2,), n_realizations=40, master_seed=5
+        )
+        with spectrum_pool() as pool:
+            result, spectra = trajectory_spectra(pool, cfg, 4, 2e-2, [3, 6])
         assert sorted(spectra) == [3, 6]
         for t, (spec, batch_specs) in spectra.items():
             snap = result.snapshots[t]
@@ -396,9 +428,9 @@ class TestSpectrumPool:
             events.append("returned")
             return result
 
-        def every_batch(pool, params, t, eps, n_real, seed, init, times, circuit=None):
+        def every_batch(pool, config, n_q, eps, times):
             # one task per rho and batch rho, sent after the run
-            result = run(params, t, eps, n_real, seed, init, snapshot_times=times, circuit=circuit)
+            result = grid_point(config, n_q, eps, times)
             spectra = {}
             for time, snap in result.snapshots.items():
                 pending = [submit(pool, rho) for rho in [snap.rho, *batch_rhos(snap)]]
@@ -441,7 +473,7 @@ class TestSpectrumPool:
         written = []
         for cpus in (1, 2):
             monkeypatch.setattr(experiments, "available_cpus", lambda: cpus)
-            with spectrum_pool(4, 1) as pool:
+            with spectrum_pool() as pool:
                 assert pool._processes == cpus
             out = tmp_path / f"cpus{cpus}"
             argv = ["noise-sweep", "--nq", "4", "--eps-grid", "3e-3,3e-2", "--steps", "6",
@@ -462,6 +494,20 @@ class TestSpectrumPool:
 
 
 class TestCalibrateGamma:
+    def test_auto_runs_the_lower_bound_count_per_point(self, monkeypatch):
+        counts = []
+        run = experiments.run_trajectories
+
+        def counting_run(params, t, eps, n_realizations, *args, **kwargs):
+            counts.append((params.n_q, n_realizations))
+            return run(params, t, eps, n_realizations, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "run_trajectories", counting_run)
+        cfg = ExperimentConfig(qubit_range=(4, 6), steps=4, epsilon_grid=(1e-3, 2e-3, 4e-3))
+        calibrate_gamma(cfg)
+        lower = {n: recommend_realizations(n, "lower") for n in (4, 6)}
+        assert counts == [(4, lower[4])] * 3 + [(6, lower[6])] * 3
+
     def test_gamma_band_and_linearity(self):
         cfg = ExperimentConfig(
             qubit_range=(4,),

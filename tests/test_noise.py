@@ -41,6 +41,18 @@ class TestNoiseAmplitude:
                 epsilon=-1e-3, realization=NoiseRealization(0, 0),
             )
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite_epsilon(self, eps):
+        params = MapParams(2)
+        init = momentum_basis_state(params)
+        with pytest.raises(ValidationError, match="finite"):
+            evolve_circuit(
+                init, build_step_circuit(params), 1,
+                epsilon=eps, realization=NoiseRealization(0, 0),
+            )
+        with pytest.raises(ValidationError, match="finite"):
+            run_trajectories(params, 1, eps, 4, 0, init)
+
 
 class TestNoiseRealization:
     def test_deterministic_stream(self):

@@ -74,3 +74,49 @@ def test_no_module_imports_an_unused_name():
     assert paths
     unused = {p.relative_to(ROOT).as_posix(): unused_imports(p.read_text()) for p in paths}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def unread_private_names(sources: dict[str, str]) -> set[str]:
+    """Module-level ``_name`` functions, classes and constants of ``sources``
+    (module name -> text) that none of them reads.  A read is a loaded
+    name, an attribute or an imported name; dunder names are exempt."""
+    defined, read = set(), set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            defined |= {
+                f"{module}.{n}" for n in names if n.startswith("_") and not n.startswith("__")
+            }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read |= {a.name for a in node.names}
+    return {name for name in defined if name.rsplit(".", 1)[1] not in read}
+
+
+def test_unread_private_names_are_found():
+    sources = {
+        "a": "_LIMIT = 3\n_used: int = 1\n__all__ = []\ndef _helper():\n    return _used\n"
+             "class _Orphan:\n    pass\n",
+        "b": "from .a import _helper\nimport a\nx = a._LIMIT\n",
+    }
+    assert unread_private_names(sources) == {"a._Orphan"}
+    assert unread_private_names({"c": "_gone = 1\n"}) == {"c._gone"}
+
+
+def test_every_private_name_is_read():
+    paths = sorted((ROOT / "src" / "entforge").rglob("*.py"))
+    assert paths
+    sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in paths}
+    assert unread_private_names(sources) == set()

@@ -68,6 +68,11 @@ class TestMapParams:
         with pytest.raises(ValidationError):
             MapParams(0)
 
+    @pytest.mark.parametrize("K", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_k(self, K):
+        with pytest.raises(ValidationError, match="finite"):
+            MapParams(4, K)
+
 
 class TestPhases:
     """The split-operator oracle's phase tables: exp(-i*T*n^2/2) per
