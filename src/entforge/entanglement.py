@@ -66,6 +66,15 @@ class MixedSpectrum:
     upper_stats: EntanglementStats
     total_entropy: float  # S(rho), shared by every lower bound
 
+    @classmethod
+    def join(cls, spans) -> MixedSpectrum:
+        """One rho's spectrum from its ``mixed_spectrum`` calls over
+        consecutive bipartition spans, in order: the arrays concatenated and
+        their statistics, bit for bit those of the whole call."""
+        lower = np.concatenate([s.lower for s in spans])
+        upper = np.concatenate([s.upper for s in spans])
+        return cls(lower, upper, stats(lower), stats(upper), spans[0].total_entropy)
+
 
 def enumerate_balanced_bipartitions(n_q: int) -> list[Bipartition]:
     """All size-n_q/2 subsets containing qubit 0; C(n_q, n_q/2)/2 entries."""
@@ -145,20 +154,21 @@ def pure_log_negativity(state: StateVector, part: Bipartition) -> float:
     return 2.0 * math.log2(float(np.sum(roots)))
 
 
-def mixed_spectrum(rho: DensityMatrix) -> MixedSpectrum:
-    """Distillable-entanglement bounds over every balanced bipartition, in
-    bipartition enumeration order.
+def mixed_spectrum(rho: DensityMatrix, span: slice = slice(None)) -> MixedSpectrum:
+    """Distillable-entanglement bounds over the ``span`` of the balanced
+    bipartitions (default: all), in bipartition enumeration order.
 
     This is where a rho is checked: S(rho) comes from the eigenvalues that
     ``rho.validate()`` takes to check that rho is Hermitian, has unit trace
     and is positive semidefinite; a failure raises ``ValidationError``.
 
     The N x N eigendecomposition of each partial transpose dominates the
-    cost; the noise sweep runs one call per density matrix in a process
-    pool (``experiments.spectrum_pool``), starting each batch rho's call
-    while later batches of trajectories still evolve.
+    cost; the noise sweep runs these calls in a process pool
+    (``experiments.spectrum_pool``): one per batch rho, started while later
+    batches of trajectories still evolve, and one per contiguous span of
+    rho's bipartitions, which ``MixedSpectrum.join`` puts back together.
     """
-    parts = enumerate_balanced_bipartitions(rho.n_qubits)
+    parts = enumerate_balanced_bipartitions(rho.n_qubits)[span]
     s_total = spectrum_entropy(rho.validate())
     # a partial transpose permutes rho's entries and commutes with the
     # adjoint, so its asymmetry is rho's: symmetrize rho once (bit for bit a

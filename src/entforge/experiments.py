@@ -39,6 +39,7 @@ from .entanglement import (
 )
 from .noise import (
     DEFAULT_BATCH_COUNT,
+    batch_slices,
     derive_seed,
     mixture,
     recommend_realizations,
@@ -416,10 +417,11 @@ def spectrum_pool():
     ``pool_size()`` workers, the ``spawn`` method (a forked child inherits
     the parent's BLAS threads).  The pure-state experiments map their
     ensembles over the workers; a noise sweep sends each batch's spectrum
-    while its trajectories still run.  A main module the workers cannot
-    re-import, as ``multiprocessing.spawn`` resolves it (a script piped into
-    ``python -``), raises ``ValidationError``: each worker would die on
-    start, replaced forever.
+    while its trajectories still run, and splits each rho's bipartitions
+    over all the workers (``submit_spectrum``).  A main module the workers
+    cannot re-import, as ``multiprocessing.spawn`` resolves it (a script
+    piped into ``python -``), raises ``ValidationError``: each worker would
+    die on start, replaced forever.
     """
     main = sys.modules["__main__"]
     path = getattr(main, "__file__", None)
@@ -441,20 +443,37 @@ def spectrum_pool():
         yield pool
 
 
-def _spectrum_task(task) -> MixedSpectrum:
-    if isinstance(task, DensityMatrix):
-        return mixed_spectrum(task)
-    return mixed_spectrum(mixture(task))
+def _spectrum_task(task, span: slice) -> MixedSpectrum:
+    rho = task if isinstance(task, DensityMatrix) else mixture(task)
+    return mixed_spectrum(rho, span)
+
+
+class _SpanResults:
+    """The ``AsyncResult`` of each span of one spectrum; ``get()`` joins them."""
+
+    def __init__(self, results):
+        self.results = results
+
+    def get(self) -> MixedSpectrum:
+        return MixedSpectrum.join([result.get() for result in self.results])
 
 
 def submit_spectrum(pool, task):
-    """Start ``mixed_spectrum`` of one task in the pool; returns its
-    ``AsyncResult``.
+    """Start ``mixed_spectrum`` of one task in ``pool``, a ``spectrum_pool``;
+    returns a result whose ``get()`` waits for the spectrum.
 
     A task is a density matrix, or a batch's (N, B) amplitude columns,
-    whose ``noise.mixture`` the worker forms.
+    whose ``noise.mixture`` the worker forms as one task.  A density matrix
+    is the one heavy input left when it is sent, so its bipartitions go out
+    as ``pool_size()`` contiguous spans, one task each; every task checks
+    rho and takes S(rho) itself, and ``get()`` joins the spans bit for bit.
     """
-    return pool.apply_async(_spectrum_task, (task,))
+    if isinstance(task, DensityMatrix):
+        count = len(enumerate_balanced_bipartitions(task.n_qubits))
+        spans = batch_slices(count, pool_size())
+    else:
+        spans = [slice(None)]
+    return _SpanResults([pool.apply_async(_spectrum_task, (task, span)) for span in spans])
 
 
 def grid_point(
@@ -489,8 +508,9 @@ def trajectory_spectra(pool, config: ExperimentConfig, n_q: int, eps: float, tim
 
     Each batch's spectrum task is sent as soon as the run has finished that
     batch's columns at a snapshot time, so the workers compute while later
-    batches evolve; the rhos follow once the run returns.  A noiseless
-    snapshot's batch rhos are rho itself, so its one spectrum serves all.
+    batches evolve; the rhos follow once the run returns, each split over
+    all the workers (``submit_spectrum``).  A noiseless snapshot's batch
+    rhos are rho itself, so its one spectrum serves all.
     Returns the run's result and, per snapshot time, (rho's spectrum, the
     batch spectra in batch order).
     """
@@ -543,14 +563,14 @@ def _snapshot_times(config: ExperimentConfig, snapshot_times) -> list[int]:
     return sorted(set(snapshot_times if snapshot_times is not None else [config.steps]))
 
 
-def _sweep_pool(config: ExperimentConfig, times: list[int]):
-    """The ``spectrum_pool`` of a sweep at snapshot ``times``, once the
-    epsilon grid is known nonempty and the largest register's grid point
-    and the workers' copies are known to fit in memory
-    (``noise.require_memory``)."""
-    if not config.epsilon_grid:
+def _sweep_pool(config: ExperimentConfig, sizes, grid, times: list[int]):
+    """The ``spectrum_pool`` of a sweep over register ``sizes``, epsilon
+    ``grid`` and snapshot ``times``, once the grid is known nonempty and the
+    largest register's grid point and the workers' copies are known to fit
+    in memory (``noise.require_memory``)."""
+    if not grid:
         raise ValidationError("noise sweep needs a nonempty epsilon grid")
-    n_q = max(config.qubit_range)
+    n_q = max(sizes)
     require_memory(n_q, len(times), config.realizations_for(n_q, "upper"), workers=pool_size())
     return spectrum_pool()
 
@@ -565,7 +585,7 @@ def run_noise_sweep(
     an ``if __name__ == "__main__":`` guard.
     """
     times = _snapshot_times(config, snapshot_times)
-    with _sweep_pool(config, times) as pool:
+    with _sweep_pool(config, config.qubit_range, config.epsilon_grid, times) as pool:
         return _noise_sweep(config, times, pool)
 
 
@@ -653,28 +673,35 @@ def find_threshold(
     ``config.threshold_fraction`` of its eps=0 value, with a power-law fit
     of threshold vs register size.
 
-    The snapshot times are the given sweep's, or [``config.steps``] for the
-    sweep run here.  With ``refine_threshold`` set, one extra simulation at
-    the interpolated amplitude tightens the bracket before the final
+    The register sizes, epsilon values and snapshot times are the given
+    sweep's, or ``config``'s (with [``config.steps``]) for the sweep run
+    here.  With ``refine_threshold`` set, one extra simulation at the
+    interpolated amplitude tightens the bracket before the final
     interpolation.  Spectra run in a ``spectrum_pool``, as in
     ``run_noise_sweep``.
     """
-    if any(e <= 0 for e in config.epsilon_grid):  # interpolation is in log epsilon
+    if sweep is None:
+        sizes, grid, times = config.qubit_range, config.epsilon_grid, [config.steps]
+    else:
+        rows = sweep.bound_rows
+        sizes = tuple(dict.fromkeys(r.n_qubits for r in rows))  # in sweep order
+        grid = sorted({r.epsilon for r in rows})
+        times = sorted({r.time for r in rows})
+    if any(e <= 0 for e in grid):  # interpolation is in log epsilon
         raise ValidationError("threshold epsilon grid entries must be > 0")
-    times = sorted({r.time for r in sweep.bound_rows}) if sweep is not None else [config.steps]
     needs_pool = sweep is None or config.refine_threshold
-    with _sweep_pool(config, times) if needs_pool else nullcontext() as pool:
+    with _sweep_pool(config, sizes, grid, times) if needs_pool else nullcontext() as pool:
         if sweep is None:
             sweep = _noise_sweep(config, times, pool)
-        return _thresholds(config, times, sweep, pool)
+        return _thresholds(config, sizes, times, sweep, pool)
 
 
-def _thresholds(config, times, sweep, pool) -> ThresholdResult:
+def _thresholds(config, sizes, times, sweep, pool) -> ThresholdResult:
     rows: list[ThresholdRow] = []
     fits: dict[tuple[int, str], FitResult] = {}
     for t in times:
         for kind in ("lower", "upper"):
-            for n_q in config.qubit_range:
+            for n_q in sizes:
                 curve = [
                     (r.epsilon, r.mean) for r in sweep.rows_for(n_q, t, kind)
                 ]

@@ -37,8 +37,11 @@ from .sawtooth import (
 #: batches used for batch-means error estimates and convergence checks
 DEFAULT_BATCH_COUNT = 8
 #: N x N matrices held besides a finished rho while the run's process forms
-#: it (``mixture`` adds one conjugate transpose) or sends it to a spectrum
-#: worker (pickling makes a byte copy and an output buffer)
+#: it (``mixture`` adds one conjugate transpose) or sends it to the spectrum
+#: workers (pickling makes a byte copy and an output buffer).  rho goes to
+#: each worker as its own task, but the pool pickles one task at a time.
+#: The run's fidelity pass, before any rho exists, copies one batch's
+#: columns: N x ceil(R/8) amplitudes, within these two matrices for R <= 16 N.
 RHO_TEMPORARIES = 2
 #: N x N matrices one spectrum worker holds at its peak besides a batch's
 #: amplitude columns: the rho, its symmetrized copy in ``mixed_spectrum``,
@@ -232,6 +235,10 @@ def run_trajectories(
     (N, B) columns at a snapshot time are final, batch by batch in batch
     order; ``columns`` is a view of the snapshot's block that the run no
     longer writes.  No batch is evolved at epsilon = 0, so it is not called.
+
+    Fidelities are taken once every batch has evolved: a BLAS call between
+    batches wakes the BLAS helper thread, which then spins on cores that
+    the spectrum workers need.
     """
     if n_realizations < 1:
         raise ValidationError("n_realizations must be >= 1")
@@ -271,8 +278,8 @@ def run_trajectories(
         s: np.empty((params.N, n_realizations), dtype=np.complex128, order="F")
         for s in times
     }
-    fidelities = {s: np.empty(n_realizations) for s in times}
-    for sl in batch_slices(n_realizations, DEFAULT_BATCH_COUNT):
+    slices = batch_slices(n_realizations, DEFAULT_BATCH_COUNT)
+    for sl in slices:
         streams = [
             NoiseRealization(master_seed, r).step_draws(epsilon, compiled.draws_per_step)
             for r in range(sl.start, sl.stop)
@@ -287,13 +294,18 @@ def run_trajectories(
                 amps = compiled.apply(amps, draws)
                 step += 1
             blocks[s][:, sl] = amps
-            fidelities[s][sl] = np.abs(ideals[s].conj() @ amps) ** 2
             if on_batch is not None:
                 on_batch(s, blocks[s][:, sl])
+    del amps  # the fidelity pass's batch copy takes its place
 
     for s in times:
+        # per batch, from C-ordered columns as the kernel returns them: one
+        # product over the column-major block rounds differently
+        fidelities = np.empty(n_realizations)
+        for sl in slices:
+            columns = np.ascontiguousarray(blocks[s][:, sl])
+            fidelities[sl] = np.abs(ideals[s].conj() @ columns) ** 2
         result.snapshots[s] = TrajectorySnapshot(
-            blocks[s], n_realizations,
-            fidelities[s], float(fidelities[s].mean()),
+            blocks[s], n_realizations, fidelities, float(fidelities.mean()),
         )
     return result

@@ -13,6 +13,7 @@ from entforge.core import (
     von_neumann_entropy,
 )
 from entforge.entanglement import (
+    MixedSpectrum,
     RegimeWarning,
     analytic_threshold,
     binary_entropy,
@@ -28,7 +29,7 @@ from entforge.entanglement import (
     pure_spectrum,
     stats,
 )
-from entforge.noise import run_trajectories
+from entforge.noise import batch_slices, run_trajectories
 from entforge.sawtooth import MapParams, evolve_exact, momentum_basis_state
 
 
@@ -150,6 +151,24 @@ class TestMixedSpectrum:
         psi = haar_random_state(4, 2)
         spec = mixed_spectrum(DensityMatrix.from_pure(psi))
         np.testing.assert_allclose(spec.lower, pure_spectrum(psi), atol=1e-8)
+
+    @pytest.mark.parametrize("n_q", [4, 6])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_spans_join_to_the_whole_call(self, n_q, k):
+        # the spectrum workers take rho's bipartitions in k contiguous
+        # spans; joined, they must give the whole call bit for bit
+        params = MapParams(n_q)
+        rho = run_trajectories(params, 5, 2e-2, 24, 3, momentum_basis_state(params)).final.rho
+        whole = mixed_spectrum(rho)
+        parts = [mixed_spectrum(rho, span) for span in batch_slices(len(whole.lower), k)]
+        joined = MixedSpectrum.join(parts)
+        assert len(parts) == k
+        assert joined.lower.tobytes() == whole.lower.tobytes()
+        assert joined.upper.tobytes() == whole.upper.tobytes()
+        assert joined.lower_stats == whole.lower_stats
+        assert joined.upper_stats == whole.upper_stats
+        assert [p.total_entropy for p in parts] == [whole.total_entropy] * k
+        assert joined.total_entropy == whole.total_entropy
 
     def test_ordering_lower_below_upper(self):
         params = MapParams(4)

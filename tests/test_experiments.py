@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import multiprocessing.pool
 import os
 import subprocess
 import sys
@@ -331,6 +332,41 @@ class TestNoiseSweepAndThreshold:
         for kind, refined in zip(("lower", "upper"), curves[1::2]):
             (row,) = [r for r in result.rows_for(4, 10, kind) if r.epsilon == eps]
             assert [m for e, m in refined if e == eps] == [row.mean, row.mean]
+
+    def test_threshold_grid_comes_from_the_sweep(self, sweep):
+        # a qubit_range=(4,) sweep with a qubit_range=(4, 6) config once
+        # raised a bare KeyError; sizes, eps values and the pool's memory
+        # check now all read the sweep, not the config
+        cfg, result = sweep
+        wider = dataclasses.replace(cfg, qubit_range=(4, 6))
+        assert find_threshold(wider, sweep=result).rows == find_threshold(cfg, sweep=result).rows
+        refine_cfg = dataclasses.replace(cfg, refine_threshold=True)
+        too_big = dataclasses.replace(
+            refine_cfg, qubit_range=(4, 16), epsilon_grid=(0.0, *cfg.epsilon_grid)
+        )
+        refined = find_threshold(refine_cfg, sweep=result).rows
+        assert find_threshold(too_big, sweep=result).rows == refined
+
+    def test_refinement_rho_goes_out_as_one_task_per_worker(self, sweep, monkeypatch):
+        cfg, result = sweep
+        refine_cfg = dataclasses.replace(cfg, refine_threshold=True)
+        spans = []
+        apply_async = multiprocessing.pool.Pool.apply_async
+
+        def recording(pool, func, args=(), *rest, **kwargs):
+            task, span = args
+            if isinstance(task, DensityMatrix):
+                spans.append(span)
+            return apply_async(pool, func, args, *rest, **kwargs)
+
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 1)
+        unsplit = find_threshold(refine_cfg, sweep=result).rows
+        monkeypatch.setattr(experiments, "available_cpus", lambda: 3)
+        monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async", recording)
+        assert find_threshold(refine_cfg, sweep=result).rows == unsplit
+        # one refinement per bound kind, each rho over all 3 bipartitions of n_q = 4
+        assert experiments.pool_size() == 3
+        assert spans == [slice(0, 1), slice(1, 2), slice(2, 3)] * 2
 
     def test_threshold_times_come_from_the_sweep(self):
         cfg = ExperimentConfig(

@@ -235,6 +235,22 @@ class TestRunTrajectories:
                 )
                 np.testing.assert_allclose(block[:, r], psi.amplitudes, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_q", [4, 5, 6, 7, 8])
+    def test_fidelities_bit_for_bit_from_each_batch(self, n_q):
+        # bit-for-bit equality is the requirement: each batch's fidelities
+        # are |ideal^dagger C_b|^2 of its columns in C order, the order the
+        # kernel returns, however late the run takes them
+        params = MapParams(n_q)
+        init = momentum_basis_state(params)
+        res = run_trajectories(params, 4, 2e-2, 20, 17, init, snapshot_times=[2, 4])
+        for s, snap in res.snapshots.items():
+            ideal = evolve_exact(init, params, s).amplitudes
+            want = np.empty(20)
+            for sl in snap.batch_slices:
+                want[sl] = np.abs(ideal.conj() @ np.ascontiguousarray(snap.amplitudes[:, sl])) ** 2
+            assert snap.fidelities.tobytes() == want.tobytes()
+            assert snap.mean_fidelity == float(want.mean())
+
     def test_noiseless_keeps_one_column(self):
         params = MapParams(3)
         init = momentum_basis_state(params)

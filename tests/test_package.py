@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import entforge
@@ -120,3 +123,28 @@ def test_every_private_name_is_read():
     assert paths
     sources = {p.relative_to(ROOT).as_posix(): p.read_text() for p in paths}
     assert unread_private_names(sources) == set()
+
+
+def test_benchmark_tracer_wraps_the_package(tmp_path):
+    # perfbench's --trace 1 wraps entforge callables by name, so a rename
+    # or deletion it relies on fails here rather than in a benchmark run
+    script = (
+        "import entforge\n"
+        f"assert entforge.__file__.startswith({str(ROOT / 'src')!r}), entforge.__file__\n"
+        "from entforge import cli\n"
+        "from tracer import Tracer, install, layer_metrics\n"
+        "tracer = Tracer()\n"
+        "install(tracer)\n"
+        "argv = ['noise-sweep', '--nq', '4', '--eps-grid', '3e-3', '--steps', '2',\n"
+        "        '--realizations', '16', '--out', 'out']\n"
+        "assert cli.main(argv) == 0\n"
+        "metrics = layer_metrics(tracer)\n"
+        "assert metrics['sawtooth.apply.calls'] == 16, metrics\n"
+        "assert metrics['experiments.points'] == 1, metrics\n"
+    )
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    run = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
