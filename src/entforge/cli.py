@@ -39,6 +39,7 @@ from .experiments import (
     ThresholdBracketError,
     calibrate_gamma,
     find_threshold,
+    fit_gamma,
     run_generation,
     run_noise_sweep,
     run_spectrum,
@@ -105,19 +106,19 @@ OPTIONS = {
     ),
     "haar_samples": ("haar_samples", int, None),
     "fraction": ("threshold_fraction", float, "threshold drop fraction"),
+    "seed": ("master_seed", int, "master seed"),
 }
 
 #: keys accepted in config files
-CONFIG_KEYS = {*OPTIONS, "seed", "out"}
+CONFIG_KEYS = {*OPTIONS, "out"}
 
-#: per-command option texts that replace ExperimentConfig's defaults
+#: per-command option texts that differ from ExperimentConfig's defaults
 COMMAND_DEFAULTS = {
-    "generate": {"nq": "4,6,8,10", "eps_grid": ""},
-    "spectrum": {"nq": "4,6,8,10", "eps_grid": ""},
-    "noise-sweep": {"nq": "4,6,8", "eps_grid": "1e-3:1e-1:log:11"},
-    "threshold": {"nq": "4,6,8", "eps_grid": "1e-3:1e-1:log:11"},
+    "generate": {"nq": "4,6,8,10"},
+    "spectrum": {"nq": "4,6,8,10"},
+    "noise-sweep": {"eps_grid": "1e-3:1e-1:log:11"},
+    "threshold": {"eps_grid": "1e-3:1e-1:log:11"},
     "calibrate-gamma": {"nq": "4,6", "eps_grid": "1e-4:1e-2:log:7"},
-    "validate": {"nq": "4,6", "eps_grid": ""},
 }
 
 
@@ -149,7 +150,8 @@ def _parsed(key: str, raw):
 def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
     """Resolve flags, then the config file, then the command's defaults into
     an ExperimentConfig and the output directory."""
-    defaults = COMMAND_DEFAULTS[args.command]
+    defaults = {"seed": os.environ.get("ENTFORGE_SEED") or None}
+    defaults.update(COMMAND_DEFAULTS.get(args.command, {}))
     file_values = _read_config_file(Path(args.config)) if args.config else {}
     fields = {}
     for key, (field, _, _) in OPTIONS.items():
@@ -160,14 +162,6 @@ def parse_config(args: argparse.Namespace) -> tuple[ExperimentConfig, Path]:
         value = file_value if flag_value is None else flag_value
         if value is not None:  # unset values fall back to ExperimentConfig's defaults
             fields[field] = value
-
-    if args.seed is not None:
-        fields["master_seed"] = args.seed
-    elif "seed" in file_values:
-        fields["master_seed"] = int(file_values["seed"])
-    elif os.environ.get("ENTFORGE_SEED"):
-        fields["master_seed"] = int(os.environ["ENTFORGE_SEED"])
-
     out = Path(args.out if args.out is not None else file_values.get("out", "entforge-out"))
     return ExperimentConfig(**fields), out
 
@@ -207,7 +201,9 @@ def _gate_count_table(config: ExperimentConfig) -> dict:
 def _finish(command, config, out_dir, tables, summary, started) -> None:
     """Write a command's files: each ``{file name: (header, rows)}`` table as
     CSV, then summary.json, then manifest.json, the reproducibility record
-    of the resolved config and of every file's sha256 digest."""
+    of the resolved config and of every file's sha256 digest.  Only here is
+    ``out_dir`` created, so a command that writes nothing leaves no trace."""
+    out_dir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in tables.items():
         write_csv(out_dir / name, header, rows)
     write_json(out_dir / "summary.json", summary)
@@ -305,25 +301,6 @@ def _cmd_spectrum(config: ExperimentConfig, out_dir: Path, started: float) -> in
     return EXIT_OK
 
 
-def _sweep_tables(sweep) -> dict:
-    return {
-        "noise_sweep.csv": (
-            ["nq", "eps", "bound_kind", "mean", "std", "stderr", "n_realizations"],
-            [
-                (r.n_qubits, r.epsilon, r.bound_kind, r.mean, r.std, r.stderr, r.n_realizations)
-                for r in sweep.bound_rows
-            ],
-        ),
-        "fidelity.csv": (
-            ["nq", "eps", "fidelity", "stderr", "n_realizations"],
-            [
-                (r.n_qubits, r.epsilon, r.fidelity, r.stderr, r.n_realizations)
-                for r in sweep.fidelity_rows
-            ],
-        ),
-    }
-
-
 def _predictions(config, gamma_cal: GammaCalibration | None):
     """Perturbative predictions on the run's grid, in both conventions.
 
@@ -358,21 +335,33 @@ def _safe_predict(eps, n_q, t, gamma, n_g):
     return {"value": value, "in_regime": in_regime}
 
 
-def _sweep_gamma(config, sweep) -> dict:
-    """Summary entries for the gamma fitted to a sweep's fidelities (None
-    when the sweep does not determine it) and the predictions it gives."""
+def _sweep_outputs(config, sweep) -> tuple[dict, dict]:
+    """A sweep's tables (noise_sweep.csv, fidelity.csv) and summary keys:
+    the eps = 0 references, the unconverged points, the initial momentum,
+    the gamma fitted to the sweep's fidelities (None when they do not
+    determine it) and the predictions it gives."""
+    tables = {
+        "noise_sweep.csv": (
+            ["nq", "eps", "bound_kind", "mean", "std", "stderr", "n_realizations"],
+            [
+                (r.n_qubits, r.epsilon, r.bound_kind, r.mean, r.std, r.stderr, r.n_realizations)
+                for r in sweep.bound_rows
+            ],
+        ),
+        "fidelity.csv": (
+            ["nq", "eps", "fidelity", "stderr", "n_realizations"],
+            [
+                (r.n_qubits, r.epsilon, r.fidelity, r.stderr, r.n_realizations)
+                for r in sweep.fidelity_rows
+            ],
+        ),
+    }
     try:
-        gamma_cal = calibrate_gamma(config, sweep=sweep)
+        gamma_cal = fit_gamma(
+            config, [(r.n_qubits, r.time, r.epsilon, r.fidelity) for r in sweep.fidelity_rows]
+        )
     except ValidationError:
         gamma_cal = None
-    return {
-        "gamma": asdict(gamma_cal) if gamma_cal else None,
-        "predictions": _predictions(config, gamma_cal),
-    }
-
-
-def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) -> int:
-    sweep = run_noise_sweep(config)
     summary = {
         "pure_reference": {
             f"{n}:{t}:{kind}": v for (n, t, kind), v in sweep.pure_reference.items()
@@ -383,9 +372,15 @@ def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) ->
             if not r.converged
         ],
         "initial_momentum": sweep.initial_momentum,
-        **_sweep_gamma(config, sweep),
+        "gamma": asdict(gamma_cal) if gamma_cal else None,
+        "predictions": _predictions(config, gamma_cal),
     }
-    _finish("noise-sweep", config, out_dir, _sweep_tables(sweep), summary, started)
+    return tables, summary
+
+
+def _strict_status(config, summary) -> int:
+    """A sweep command's exit code once its files are written: failure when
+    ``--strict`` is set and any grid point is unconverged."""
     if config.strict and summary["unconverged_points"]:
         print(
             f"error: {len(summary['unconverged_points'])} unconverged grid points",
@@ -395,12 +390,18 @@ def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) ->
     return EXIT_OK
 
 
+def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) -> int:
+    tables, summary = _sweep_outputs(config, run_noise_sweep(config))
+    _finish("noise-sweep", config, out_dir, tables, summary, started)
+    return _strict_status(config, summary)
+
+
 def _cmd_threshold(config: ExperimentConfig, out_dir: Path, started: float) -> int:
     result = find_threshold(config)
     fits = {
         f"threshold_t{t}_{kind}": fit for (t, kind), fit in result.fits.items()
     }
-    tables = _sweep_tables(result.sweep)
+    tables, summary = _sweep_outputs(config, result.sweep)
     tables["threshold.csv"] = (
         ["nq", "t", "bound_kind", "eps_threshold", "method"],
         [
@@ -409,22 +410,19 @@ def _cmd_threshold(config: ExperimentConfig, out_dir: Path, started: float) -> i
         ],
     )
     tables["fits.csv"] = _fits_table(fits)
-    summary = {
-        "thresholds": [
-            {
-                "nq": r.n_qubits,
-                "t": r.time,
-                "bound_kind": r.bound_kind,
-                "eps_threshold": _fmt(r.eps_threshold),
-                "method": r.method,
-            }
-            for r in result.rows
-        ],
-        "fits": {name: asdict(fit) for name, fit in fits.items()},
-        **_sweep_gamma(config, result.sweep),
-    }
+    summary["thresholds"] = [
+        {
+            "nq": r.n_qubits,
+            "t": r.time,
+            "bound_kind": r.bound_kind,
+            "eps_threshold": _fmt(r.eps_threshold),
+            "method": r.method,
+        }
+        for r in result.rows
+    ]
+    summary["fits"] = {name: asdict(fit) for name, fit in fits.items()}
     _finish("threshold", config, out_dir, tables, summary, started)
-    return EXIT_OK
+    return _strict_status(config, summary)
 
 
 def _cmd_calibrate_gamma(config: ExperimentConfig, out_dir: Path, started: float) -> int:
@@ -484,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
         for key, (_, parse, help_text) in OPTIONS.items():
             switch = {"action": "store_true"} if parse is _parse_bool else {}
             cmd.add_argument("--" + key.replace("_", "-"), default=None, help=help_text, **switch)
-        cmd.add_argument("--seed", type=int, help="master seed")
         cmd.add_argument("--out", help="output directory")
     return parser
 
@@ -497,7 +494,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return COMMANDS[args.command](config, out_dir, started)
     except ThresholdBracketError as exc:

@@ -310,6 +310,7 @@ def fidelity(ideal: StateVector, rho: DensityMatrix) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+# Unused by the package; kept only because perfbench/tracer.py wraps its methods.
 class ProjectorAccumulator:
     """Weighted sum of pure-state projectors; once the accumulated weight
     reaches 1 the content is a valid density matrix."""

@@ -744,24 +744,26 @@ class GammaCalibration:
 
 
 def calibrate_gamma(
-    config: ExperimentConfig,
-    snapshot_times: list[int] | None = None,
-    sweep: NoiseSweepResult | None = None,
+    config: ExperimentConfig, snapshot_times: list[int] | None = None
 ) -> GammaCalibration:
-    """Slope of -ln F against eps^2 * n_g * t pooled over the grid, reported
-    for both the built decomposition's gate count and the reference
-    convention 3 n_q^2 + n_q."""
+    """``fit_gamma`` of the mean fidelities of a lower-bound ``grid_point``
+    run (stream "gamma") at each (n_q, eps) of ``config``'s grid."""
     if not config.epsilon_grid:
         raise ValidationError("gamma calibration needs a nonempty epsilon grid")
     times = _snapshot_times(config, snapshot_times)
-    if sweep is None:
-        points = []
-        for n_q in config.qubit_range:
-            for eps in config.epsilon_grid:
-                result = grid_point(config, n_q, eps, times, stream="gamma", bound_kind="lower")
-                points.extend((n_q, t, eps, result.snapshots[t].mean_fidelity) for t in times)
-    else:
-        points = [(r.n_qubits, r.time, r.epsilon, r.fidelity) for r in sweep.fidelity_rows]
+    points = []
+    for n_q in config.qubit_range:
+        for eps in config.epsilon_grid:
+            result = grid_point(config, n_q, eps, times, stream="gamma", bound_kind="lower")
+            points.extend((n_q, t, eps, result.snapshots[t].mean_fidelity) for t in times)
+    return fit_gamma(config, points)
+
+
+def fit_gamma(config: ExperimentConfig, points) -> GammaCalibration:
+    """Slope of -ln F against eps^2 * n_g * t over the (n_q, t, eps, mean
+    fidelity) ``points`` inside the perturbative regime, reported for both
+    the built decomposition's gate count and the reference convention
+    3 n_q^2 + n_q; fewer than 3 such points raise ``ValidationError``."""
     gate_counts = {
         n_q: build_step_circuit(MapParams(n_q, config.k_param)).gate_count
         for n_q in {p[0] for p in points}

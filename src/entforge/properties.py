@@ -13,7 +13,6 @@ import numpy as np
 from .core import (
     Bipartition,
     DensityMatrix,
-    ProjectorAccumulator,
     StateVector,
     apply_one_qubit_gate,
     fidelity,
@@ -28,7 +27,7 @@ from .entanglement import (
     haar_random_state,
     mixed_spectrum,
 )
-from .noise import NoiseRealization, perturb_one_qubit_gate, run_trajectories
+from .noise import NoiseRealization, mixture, perturb_one_qubit_gate, run_trajectories
 from .sawtooth import (
     Gate,
     GateKind,
@@ -106,17 +105,18 @@ def check_partial_transpose(seed) -> CheckResult:
     return CheckResult("partial transpose", ok, detail)
 
 
-def check_accumulator(seed) -> CheckResult:
+def check_mixture(seed) -> CheckResult:
     rng = np.random.default_rng(seed)
-    acc = ProjectorAccumulator(3)
     weights = rng.dirichlet(np.ones(6))
-    for w in weights:
-        acc.add(_random_state(3, rng), float(w))
+    # column j scaled by sqrt(6 w_j): the equal-weight mixture is sum_j w_j |psi_j><psi_j|
+    columns = np.stack(
+        [_random_state(3, rng).amplitudes * math.sqrt(6 * w) for w in weights], axis=1
+    )
     try:
-        acc.finalize()  # validates Hermitian / trace / PSD
-        return CheckResult("projector accumulator", True, "convex mixture is a valid state")
+        mixture(columns).validate()  # Hermitian / trace / PSD
+        return CheckResult("state mixture", True, "convex mixture is a valid state")
     except Exception as exc:  # pragma: no cover
-        return CheckResult("projector accumulator", False, str(exc))
+        return CheckResult("state mixture", False, str(exc))
 
 
 def check_oracle_equivalence(seed) -> CheckResult:
@@ -239,7 +239,7 @@ ALL_CHECKS = [
     check_norm_preservation,
     check_entropy_symmetry,
     check_partial_transpose,
-    check_accumulator,
+    check_mixture,
     check_oracle_equivalence,
     check_unitarity_over_time,
     check_chaos_sanity,

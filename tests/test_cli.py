@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 
 import numpy as np
@@ -116,6 +118,7 @@ OPTION_SAMPLES = {
     "refine": ("--refine", "true", True),
     "haar_samples": ("--haar-samples", "9", 9),
     "fraction": ("--fraction", "0.25", 0.25),
+    "seed": ("--seed", "17", 17),
 }
 
 
@@ -150,9 +153,21 @@ class TestCountsRefusedBeforeWork:
             (["generate", "--nq", "4", "--steps", "3", "--k-param", "inf"], "k_param"),
             (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3,inf"], "epsilon grid"),
             (["calibrate-gamma", "--nq", "4", "--eps-grid", "1e-4,1e-3,nan"], "epsilon grid"),
+            (["generate", "--nq", "4", "--steps", "3", "--config", "seed = abc"], "seed"),
+            (["ENTFORGE_SEED=x", "generate", "--nq", "4", "--steps", "3"], "seed"),
         ],
     )
-    def test_exit_usage_naming_the_key(self, tmp_path, capsys, argv, key):
+    def test_exit_usage_naming_the_key(self, tmp_path, capsys, monkeypatch, argv, key):
+        # a leading NAME=value entry sets an environment variable, as in a
+        # shell; the entry after --config is the config file's text
+        if "=" in argv[0]:
+            monkeypatch.setenv(*argv[0].split("=", 1))
+            argv = argv[1:]
+        if "--config" in argv:
+            at = argv.index("--config") + 1
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(argv[at] + "\n")
+            argv = [*argv[:at], str(cfg), *argv[at + 1:]]
         out = tmp_path / "o"
         assert main(argv + ["--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
@@ -253,6 +268,7 @@ class TestThresholdCommand:
         )
         assert code == EXIT_NO_BRACKET
         assert "no-bracket" in capsys.readouterr().err
+        assert not out.exists()  # refused before any file was written
 
     def test_zero_epsilon_refused_before_work(self, tmp_path, capsys, monkeypatch):
         # the log-epsilon interpolation cannot take eps = 0; refuse it
@@ -284,6 +300,49 @@ class TestThresholdCommand:
         assert len(lines) == 3  # one per bound kind
 
 
+#: a grid whose large-eps points do not converge at 8 realizations
+STRICT_ARGV = [
+    "--nq", "4", "--eps-grid", "1e-3:3e-1:log:5", "--steps", "6", "--realizations", "8",
+    "--strict",
+]
+
+
+@pytest.fixture(scope="module")
+def strict_runs(tmp_path_factory):
+    """Exit code, files and stderr of noise-sweep and threshold on STRICT_ARGV."""
+    runs = {}
+    for command in ("noise-sweep", "threshold"):
+        out = tmp_path_factory.mktemp(command)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, *STRICT_ARGV, "--out", str(out)])
+        runs[command] = code, out, err.getvalue()
+    return runs
+
+
+class TestSweepOutputsShared:
+    def test_strict_fails_both_commands_alike(self, strict_runs):
+        sweep_code, _, sweep_err = strict_runs["noise-sweep"]
+        thr_code, _, thr_err = strict_runs["threshold"]
+        assert sweep_code == thr_code == EXIT_FAILURE
+        assert sweep_err == thr_err
+        assert "unconverged grid points" in thr_err
+
+    def test_threshold_summary_holds_the_sweep_keys(self, strict_runs):
+        sweep = json.loads((strict_runs["noise-sweep"][1] / "summary.json").read_text())
+        thr = json.loads((strict_runs["threshold"][1] / "summary.json").read_text())
+        assert sweep["unconverged_points"]
+        for key in ("pure_reference", "unconverged_points", "initial_momentum", "gamma",
+                    "predictions"):
+            assert thr[key] == sweep[key], key
+        assert set(thr) - set(sweep) == {"thresholds", "fits"}
+
+    def test_sweep_tables_identical(self, strict_runs):
+        for name in ("noise_sweep.csv", "fidelity.csv"):
+            texts = {(out / name).read_text() for _, out, _ in strict_runs.values()}
+            assert len(texts) == 1, name
+
+
 class TestCalibrateGammaCommand:
     def test_outputs(self, tmp_path):
         out = tmp_path / "gamma"
@@ -305,3 +364,8 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "property checks passed" in out
         assert "[FAIL]" not in out
+
+    def test_validate_creates_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["validate"]) == EXIT_OK
+        assert list(tmp_path.iterdir()) == []

@@ -25,6 +25,7 @@ from entforge.experiments import (
     calibrate_gamma,
     find_threshold,
     fit_exponential,
+    fit_gamma,
     fit_linear,
     fit_power_law,
     generation_ensemble,
@@ -556,3 +557,18 @@ class TestCalibrateGamma:
         assert 0.05 < cal.gamma_reference_convention < 0.8
         assert cal.fit_reference.r_squared > 0.95
         assert cal.gamma_actual > cal.gamma_reference_convention
+
+    def test_fit_gamma_needs_three_points_inside_the_regime(self):
+        cfg = ExperimentConfig(qubit_range=(4,), steps=10)
+        inside = [(4, 10, eps, math.exp(-0.3 * eps**2 * 520)) for eps in (1e-3, 2e-3, 4e-3)]
+        outside = (4, 10, 0.1, 0.5)  # 0.28 * 0.1^2 * 52 * 10 > 0.5
+        assert fit_gamma(cfg, inside + [outside]).points == inside
+        with pytest.raises(ValidationError, match="fewer than 3"):
+            fit_gamma(cfg, inside[:2] + [outside])
+
+    def test_calibration_is_the_fit_of_its_points(self):
+        cfg = ExperimentConfig(
+            qubit_range=(4,), steps=6, epsilon_grid=(1e-3, 2e-3, 4e-3), n_realizations=16
+        )
+        cal = calibrate_gamma(cfg)
+        assert fit_gamma(cfg, cal.points) == cal
