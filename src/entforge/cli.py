@@ -3,13 +3,14 @@ for their bit-exact data files.
 
 Subcommands: generate, spectrum, noise-sweep, threshold, calibrate-gamma,
 validate.  Each ExperimentConfig setting is one entry of ``OPTIONS``,
-which gives its config-file key, flag and parser.  Each experiment hands
-its CSV tables (floats at 17 significant digits, round-trip exact) and its
-summary to ``_finish``, the only code that writes a command's files: the
-CSVs, a machine-readable summary.json, and a manifest.json recording the
-resolved configuration, gate counts, and sha256 digests of the data files.
-Repeating an invocation reproduces the data files byte for byte (the
-manifest's wall-clock field is exempt).
+which gives its config-file key, flag and parser.  Each experiment's
+runner returns its CSV tables (floats at 17 significant digits, round-trip
+exact) and its summary, and ``main`` hands them to ``_finish``, the only
+code that writes a command's files: the CSVs, a machine-readable
+summary.json, and a manifest.json recording the resolved configuration,
+gate counts, and sha256 digests of the data files.  ``validate`` writes
+nothing and returns its exit code.  Repeating an invocation reproduces the
+data files byte for byte (the manifest's wall-clock field is exempt).
 
 Config files are flat ``key = value`` text; command-line flags override
 file values with a warning, unknown keys are errors.  The master seed
@@ -40,6 +41,7 @@ from .experiments import (
     calibrate_gamma,
     find_threshold,
     fit_gamma,
+    require_positive_grid,
     run_generation,
     run_noise_sweep,
     run_spectrum,
@@ -65,7 +67,7 @@ def parse_epsilon_grid(spec: str) -> tuple[float, ...]:
                 f"bad grid '{spec}'; expected start:stop:log|lin:count"
             )
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[3])
-        if count < 1 or start <= 0 and parts[2] == "log":
+        if count < 1 or parts[2] == "log" and not (start > 0 and stop > 0):
             raise ValidationError(f"bad grid '{spec}'")
         if parts[2] == "log":
             values = np.geomspace(start, stop, count)
@@ -123,8 +125,12 @@ COMMAND_DEFAULTS = {
 
 
 def _read_config_file(path: Path) -> dict:
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise ValidationError(f"config: cannot read '{path}': {exc.strerror}") from None
     values = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -198,6 +204,15 @@ def _gate_count_table(config: ExperimentConfig) -> dict:
     return table
 
 
+def _require_out_dir(out_dir: Path) -> None:
+    """Refuse, before any work, an output directory that ``_finish`` could
+    not create: ``out_dir`` must be a directory, or its nearest existing
+    ancestor a writable one."""
+    base = next(path for path in (out_dir, *out_dir.parents) if os.path.lexists(path))
+    if not base.is_dir() or base != out_dir and not os.access(base, os.W_OK):
+        raise ValidationError(f"out: '{base}' is not a writable directory")
+
+
 def _finish(command, config, out_dir, tables, summary, started) -> None:
     """Write a command's files: each ``{file name: (header, rows)}`` table as
     CSV, then summary.json, then manifest.json, the reproducibility record
@@ -241,7 +256,7 @@ def _fits_table(fits: dict) -> tuple[list[str], list[tuple]]:
 # --- subcommand runners -----------------------------------------------------------
 
 
-def _cmd_generate(config: ExperimentConfig, out_dir: Path, started: float) -> int:
+def _cmd_generate(config: ExperimentConfig) -> tuple[dict, dict]:
     result = run_generation(config)
     rows = []
     for n_q in config.qubit_range:
@@ -266,11 +281,10 @@ def _cmd_generate(config: ExperimentConfig, out_dir: Path, started: float) -> in
         },
         "tau_vs_nq": asdict(result.tau_vs_nq) if result.tau_vs_nq else None,
     }
-    _finish("generate", config, out_dir, tables, summary, started)
-    return EXIT_OK
+    return tables, summary
 
 
-def _cmd_spectrum(config: ExperimentConfig, out_dir: Path, started: float) -> int:
+def _cmd_spectrum(config: ExperimentConfig) -> tuple[dict, dict]:
     result = run_spectrum(config)
     tables = {}
     for family in ("sawtooth", "haar"):
@@ -297,8 +311,7 @@ def _cmd_spectrum(config: ExperimentConfig, out_dir: Path, started: float) -> in
             for (n, family) in result.families
         },
     }
-    _finish("spectrum", config, out_dir, tables, summary, started)
-    return EXIT_OK
+    return tables, summary
 
 
 def _predictions(config, gamma_cal: GammaCalibration | None):
@@ -378,30 +391,18 @@ def _sweep_outputs(config, sweep) -> tuple[dict, dict]:
     return tables, summary
 
 
-def _strict_status(config, summary) -> int:
-    """A sweep command's exit code once its files are written: failure when
-    ``--strict`` is set and any grid point is unconverged."""
-    if config.strict and summary["unconverged_points"]:
-        print(
-            f"error: {len(summary['unconverged_points'])} unconverged grid points",
-            file=sys.stderr,
-        )
-        return EXIT_FAILURE
-    return EXIT_OK
+def _cmd_noise_sweep(config: ExperimentConfig) -> tuple[dict, dict]:
+    return _sweep_outputs(config, run_noise_sweep(config))
 
 
-def _cmd_noise_sweep(config: ExperimentConfig, out_dir: Path, started: float) -> int:
-    tables, summary = _sweep_outputs(config, run_noise_sweep(config))
-    _finish("noise-sweep", config, out_dir, tables, summary, started)
-    return _strict_status(config, summary)
-
-
-def _cmd_threshold(config: ExperimentConfig, out_dir: Path, started: float) -> int:
-    result = find_threshold(config)
+def _cmd_threshold(config: ExperimentConfig) -> tuple[dict, dict]:
+    require_positive_grid(config.epsilon_grid)  # before any work
+    sweep = run_noise_sweep(config)
+    result = find_threshold(config, sweep)
     fits = {
         f"threshold_t{t}_{kind}": fit for (t, kind), fit in result.fits.items()
     }
-    tables, summary = _sweep_outputs(config, result.sweep)
+    tables, summary = _sweep_outputs(config, sweep)
     tables["threshold.csv"] = (
         ["nq", "t", "bound_kind", "eps_threshold", "method"],
         [
@@ -421,11 +422,10 @@ def _cmd_threshold(config: ExperimentConfig, out_dir: Path, started: float) -> i
         for r in result.rows
     ]
     summary["fits"] = {name: asdict(fit) for name, fit in fits.items()}
-    _finish("threshold", config, out_dir, tables, summary, started)
-    return _strict_status(config, summary)
+    return tables, summary
 
 
-def _cmd_calibrate_gamma(config: ExperimentConfig, out_dir: Path, started: float) -> int:
+def _cmd_calibrate_gamma(config: ExperimentConfig) -> tuple[dict, dict]:
     cal = calibrate_gamma(config, snapshot_times=[max(1, config.steps // 2), config.steps])
     fits = {
         "gamma_actual_convention": cal.fit_actual,
@@ -445,11 +445,10 @@ def _cmd_calibrate_gamma(config: ExperimentConfig, out_dir: Path, started: float
         "fits": {name: asdict(fit) for name, fit in fits.items()},
         "predictions": _predictions(config, cal),
     }
-    _finish("calibrate-gamma", config, out_dir, tables, summary, started)
-    return EXIT_OK
+    return tables, summary
 
 
-def _cmd_validate(config: ExperimentConfig, out_dir: Path, started: float) -> int:
+def _cmd_validate(config: ExperimentConfig) -> int:
     results = run_property_suite(config.master_seed)
     failures = 0
     for check in results:
@@ -488,20 +487,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    writes = args.command != "validate"
     try:
         config, out_dir = parse_config(args)
+        if writes:
+            _require_out_dir(out_dir)
     except ValueError as exc:  # ValidationError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     started = time.perf_counter()
     try:
-        return COMMANDS[args.command](config, out_dir, started)
+        if not writes:
+            return COMMANDS[args.command](config)
+        tables, summary = COMMANDS[args.command](config)
     except ThresholdBracketError as exc:
         print(f"error: no-bracket: {exc}", file=sys.stderr)
         return EXIT_NO_BRACKET
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    _finish(args.command, config, out_dir, tables, summary, started)
+    unconverged = summary.get("unconverged_points")  # sweep summaries only
+    if config.strict and unconverged:
+        print(f"error: {len(unconverged)} unconverged grid points", file=sys.stderr)
+        return EXIT_FAILURE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

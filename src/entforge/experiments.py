@@ -585,39 +585,37 @@ def run_noise_sweep(
     an ``if __name__ == "__main__":`` guard.
     """
     times = _snapshot_times(config, snapshot_times)
-    with _sweep_pool(config, config.qubit_range, config.epsilon_grid, times) as pool:
-        return _noise_sweep(config, times, pool)
-
-
-def _noise_sweep(config: ExperimentConfig, times: list[int], pool) -> NoiseSweepResult:
     bound_rows: list[BoundRow] = []
     fidelity_rows: list[FidelityRow] = []
     pure_reference: dict[tuple[int, int, str], float] = {}
     total_entropy: dict[tuple[int, int, float], float] = {}
     ordering_margin: dict[tuple[int, int, float], float] = {}
-    for n_q in config.qubit_range:
-        params = MapParams(n_q, config.k_param)
-        init = momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM)
-        parts = enumerate_balanced_bipartitions(n_q)
-        for t in times:
-            ideal = evolve_exact(init, params, t)
-            pure_reference[(n_q, t, "lower")] = stats(pure_spectrum(ideal)).mean
-            pure_reference[(n_q, t, "upper")] = float(
-                np.mean([pure_log_negativity(ideal, p) for p in parts])
-            )
-        for eps in config.epsilon_grid:
-            result, spectra = trajectory_spectra(pool, config, n_q, eps, times)
+    with _sweep_pool(config, config.qubit_range, config.epsilon_grid, times) as pool:
+        for n_q in config.qubit_range:
+            params = MapParams(n_q, config.k_param)
+            init = momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM)
+            parts = enumerate_balanced_bipartitions(n_q)
             for t in times:
-                snap = result.snapshots[t]
-                n_real = snap.n_realizations
-                spec, batch_specs = spectra[t]
-                bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
-                ordering_margin[(n_q, t, eps)] = float(np.min(spec.upper - spec.lower))
-                total_entropy[(n_q, t, eps)] = spec.total_entropy
-                fid_err = _batch_stderr([snap.fidelities[sl].mean() for sl in snap.batch_slices])
-                fidelity_rows.append(
-                    FidelityRow(n_q, t, eps, snap.mean_fidelity, fid_err, n_real)
+                ideal = evolve_exact(init, params, t)
+                pure_reference[(n_q, t, "lower")] = stats(pure_spectrum(ideal)).mean
+                pure_reference[(n_q, t, "upper")] = float(
+                    np.mean([pure_log_negativity(ideal, p) for p in parts])
                 )
+            for eps in config.epsilon_grid:
+                result, spectra = trajectory_spectra(pool, config, n_q, eps, times)
+                for t in times:
+                    snap = result.snapshots[t]
+                    n_real = snap.n_realizations
+                    spec, batch_specs = spectra[t]
+                    bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
+                    ordering_margin[(n_q, t, eps)] = float(np.min(spec.upper - spec.lower))
+                    total_entropy[(n_q, t, eps)] = spec.total_entropy
+                    fid_err = _batch_stderr(
+                        [snap.fidelities[sl].mean() for sl in snap.batch_slices]
+                    )
+                    fidelity_rows.append(
+                        FidelityRow(n_q, t, eps, snap.mean_fidelity, fid_err, n_real)
+                    )
     return NoiseSweepResult(
         bound_rows,
         fidelity_rows,
@@ -648,7 +646,6 @@ class ThresholdRow:
 class ThresholdResult:
     rows: list[ThresholdRow]
     fits: dict[tuple[int, str], FitResult]  # (time, kind) -> power-law fit
-    sweep: NoiseSweepResult
 
 
 def interpolate_threshold(curve, target: float) -> float:
@@ -666,61 +663,51 @@ def interpolate_threshold(curve, target: float) -> float:
     )
 
 
-def find_threshold(
-    config: ExperimentConfig, sweep: NoiseSweepResult | None = None
-) -> ThresholdResult:
-    """Noise amplitude at which each bound mean drops to
-    ``config.threshold_fraction`` of its eps=0 value, with a power-law fit
-    of threshold vs register size.
-
-    The register sizes, epsilon values and snapshot times are the given
-    sweep's, or ``config``'s (with [``config.steps``]) for the sweep run
-    here.  With ``refine_threshold`` set, one extra simulation at the
-    interpolated amplitude tightens the bracket before the final
-    interpolation.  Spectra run in a ``spectrum_pool``, as in
-    ``run_noise_sweep``.
-    """
-    if sweep is None:
-        sizes, grid, times = config.qubit_range, config.epsilon_grid, [config.steps]
-    else:
-        rows = sweep.bound_rows
-        sizes = tuple(dict.fromkeys(r.n_qubits for r in rows))  # in sweep order
-        grid = sorted({r.epsilon for r in rows})
-        times = sorted({r.time for r in rows})
-    if any(e <= 0 for e in grid):  # interpolation is in log epsilon
+def require_positive_grid(grid) -> None:
+    """Refuse an epsilon grid with an entry <= 0: thresholds are
+    interpolated in log epsilon."""
+    if any(e <= 0 for e in grid):
         raise ValidationError("threshold epsilon grid entries must be > 0")
-    needs_pool = sweep is None or config.refine_threshold
-    with _sweep_pool(config, sizes, grid, times) if needs_pool else nullcontext() as pool:
-        if sweep is None:
-            sweep = _noise_sweep(config, times, pool)
-        return _thresholds(config, sizes, times, sweep, pool)
 
 
-def _thresholds(config, sizes, times, sweep, pool) -> ThresholdResult:
+def find_threshold(config: ExperimentConfig, sweep: NoiseSweepResult) -> ThresholdResult:
+    """Noise amplitude at which each bound mean of a finished ``sweep``
+    drops to ``config.threshold_fraction`` of its eps=0 value, with a
+    power-law fit of threshold vs register size.
+
+    The register sizes, epsilon values and snapshot times are the sweep's.
+    With ``refine_threshold`` set, one extra simulation at the interpolated
+    amplitude tightens the bracket before the final interpolation; only
+    then does a ``spectrum_pool`` start, as in ``run_noise_sweep``.
+    """
+    sizes = tuple(dict.fromkeys(r.n_qubits for r in sweep.bound_rows))  # in sweep order
+    grid = sorted({r.epsilon for r in sweep.bound_rows})
+    times = sorted({r.time for r in sweep.bound_rows})
+    require_positive_grid(grid)
     rows: list[ThresholdRow] = []
     fits: dict[tuple[int, str], FitResult] = {}
-    for t in times:
-        for kind in ("lower", "upper"):
-            for n_q in sizes:
-                curve = [
-                    (r.epsilon, r.mean) for r in sweep.rows_for(n_q, t, kind)
+    refine = config.refine_threshold
+    with _sweep_pool(config, sizes, grid, times) if refine else nullcontext() as pool:
+        for t in times:
+            for kind in ("lower", "upper"):
+                for n_q in sizes:
+                    curve = [(r.epsilon, r.mean) for r in sweep.rows_for(n_q, t, kind)]
+                    target = config.threshold_fraction * sweep.pure_reference[(n_q, t, kind)]
+                    eps_star = interpolate_threshold(curve, target)
+                    method = "interpolated"
+                    if refine:
+                        eps_star, method = _refine_threshold(
+                            config, pool, n_q, t, kind, curve, target, eps_star
+                        )
+                    rows.append(ThresholdRow(n_q, t, kind, eps_star, method))
+                pts = [
+                    (float(r.n_qubits), r.eps_threshold)
+                    for r in rows
+                    if r.time == t and r.bound_kind == kind
                 ]
-                target = config.threshold_fraction * sweep.pure_reference[(n_q, t, kind)]
-                eps_star = interpolate_threshold(curve, target)
-                method = "interpolated"
-                if config.refine_threshold:
-                    eps_star, method = _refine_threshold(
-                        config, pool, n_q, t, kind, curve, target, eps_star
-                    )
-                rows.append(ThresholdRow(n_q, t, kind, eps_star, method))
-            pts = [
-                (float(r.n_qubits), r.eps_threshold)
-                for r in rows
-                if r.time == t and r.bound_kind == kind
-            ]
-            if len(pts) >= 3:
-                fits[(t, kind)] = fit_power_law(pts)
-    return ThresholdResult(rows, fits, sweep)
+                if len(pts) >= 3:
+                    fits[(t, kind)] = fit_power_law(pts)
+    return ThresholdResult(rows, fits)
 
 
 def _refine_threshold(config, pool, n_q, t, kind, curve, target, eps_star):

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from entforge.cli import (
     parse_epsilon_grid,
     parse_qubit_list,
 )
-from entforge import experiments
+from entforge import cli, experiments
 from entforge.core import ValidationError
 from entforge.entanglement import page_value
 from entforge.experiments import ExperimentConfig
@@ -45,6 +46,10 @@ class TestGridSyntax:
     def test_bad_spec(self):
         with pytest.raises(ValidationError):
             parse_epsilon_grid("1e-4:1e-2:cubic:9")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy warns on the log of a stop <= 0
+            with pytest.raises(ValidationError, match="bad grid"):
+                parse_epsilon_grid("1e-3:-1e-1:log:3")
 
     def test_qubit_list(self):
         assert parse_qubit_list("4,6,8") == (4, 6, 8)
@@ -82,6 +87,17 @@ class TestConfigFile:
         cfg.write_text("# a comment\n\nnq = 4\nsteps = 6\n")
         out = tmp_path / "o"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+
+    @pytest.mark.parametrize("missing", [True, False])
+    def test_unreadable_config_exits_usage(self, tmp_path, capsys, missing):
+        cfg = tmp_path / "absent.cfg" if missing else tmp_path
+        out = tmp_path / "o"
+        code = main(["noise-sweep", "--nq", "4", "--config", str(cfg), "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: config:") and str(cfg) in err[0]
+        assert not out.exists()
 
     def test_odd_nq_rejected(self, tmp_path, capsys):
         code = main(["spectrum", "--nq", "5", "--out", str(tmp_path / "o")])
@@ -153,6 +169,7 @@ class TestCountsRefusedBeforeWork:
             (["generate", "--nq", "4", "--steps", "3", "--k-param", "inf"], "k_param"),
             (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3,inf"], "epsilon grid"),
             (["calibrate-gamma", "--nq", "4", "--eps-grid", "1e-4,1e-3,nan"], "epsilon grid"),
+            (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3:-1e-1:log:3"], "eps_grid"),
             (["generate", "--nq", "4", "--steps", "3", "--config", "seed = abc"], "seed"),
             (["ENTFORGE_SEED=x", "generate", "--nq", "4", "--steps", "3"], "seed"),
         ],
@@ -173,6 +190,33 @@ class TestCountsRefusedBeforeWork:
         err = capsys.readouterr().err
         assert any(line.startswith("error:") and key in line for line in err.splitlines())
         assert not out.exists()
+
+
+class TestOutRefusedBeforeWork:
+    @pytest.mark.parametrize("name", ["afile", "afile/sub", "dangling", "dangling/sub"])
+    def test_out_that_cannot_be_made_exits_usage(self, tmp_path, capsys, monkeypatch, name):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for an output directory that cannot be made")
+
+        monkeypatch.setattr(experiments, "run_trajectories", no_work)
+        monkeypatch.setattr(experiments, "spectrum_pool", no_work)
+        (tmp_path / "afile").write_text("")
+        (tmp_path / "dangling").symlink_to(tmp_path / "absent")
+        before = sorted(tmp_path.iterdir())
+        code = main(["noise-sweep", "--nq", "4", "--eps-grid", "1e-3", "--steps", "3",
+                     "--out", str(tmp_path / name)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: out:")
+        assert sorted(tmp_path.iterdir()) == before
+        assert not (tmp_path / "absent").exists()
+
+    def test_validate_ignores_out(self, tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        assert main(["validate", "--out", str(afile / "sub")]) == EXIT_OK
+        assert "[FAIL]" not in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +330,25 @@ class TestThresholdCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and "> 0" in err[0]
+
+    def test_threshold_runs_one_noise_sweep(self, tmp_path, monkeypatch):
+        # the sweep enters through cli.run_noise_sweep, as noise-sweep's does,
+        # also when refinement needs a pool afterwards
+        calls = []
+        sweep = cli.run_noise_sweep
+
+        def counting(config, *args, **kwargs):
+            calls.append(config)
+            return sweep(config, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_noise_sweep", counting)
+        code = main(
+            ["threshold", "--nq", "4", "--steps", "8",
+             "--eps-grid", "2e-3:1.5e-1:log:6", "--realizations", "32", "--refine",
+             "--out", str(tmp_path / "thr1")]
+        )
+        assert code == EXIT_OK
+        assert len(calls) == 1
 
     def test_threshold_outputs(self, tmp_path):
         out = tmp_path / "thr2"

@@ -301,6 +301,16 @@ class TestNoiseSweepAndThreshold:
         for row in thr.rows:
             assert cfg.epsilon_grid[0] < row.eps_threshold < cfg.epsilon_grid[-1]
 
+    def test_threshold_without_refinement_starts_no_pool(self, sweep, monkeypatch):
+        cfg, result = sweep
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool started for a threshold that runs no simulation")
+
+        monkeypatch.setattr(experiments, "spectrum_pool", no_pool)
+        rows = find_threshold(cfg, sweep=result).rows
+        assert [r.method for r in rows] == ["interpolated"] * 2
+
     def test_refined_threshold_stays_in_its_bracket(self, sweep):
         cfg, result = sweep
         refine_cfg = dataclasses.replace(cfg, refine_threshold=True)

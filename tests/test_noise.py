@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entforge import noise
-from entforge.core import ValidationError, fidelity
+from entforge.core import ValidationError, fidelity, von_neumann_entropy
 from entforge.noise import (
     NoiseRealization,
     batch_slices,
@@ -301,6 +303,49 @@ class TestRunTrajectories:
         params = MapParams(2)
         with pytest.raises(ValidationError):
             run_trajectories(params, 1, 1e-3, 0, 0, momentum_basis_state(params))
+
+
+def random_columns(n_qubits, count, seed):
+    """``count`` random normalized states of ``n_qubits`` as (N, count) columns."""
+    rng = np.random.default_rng(seed)
+    shape = (2**n_qubits, count)
+    amps = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return amps / np.linalg.norm(amps, axis=0)
+
+
+class TestMixture:
+    def test_one_column_is_the_pure_projector(self):
+        psi = random_columns(2, 1, 29)
+        rho = mixture(psi)
+        assert rho.n_qubits == 2
+        np.testing.assert_allclose(rho.matrix, psi @ psi.conj().T, atol=1e-14)
+
+    def test_two_basis_states_give_half_identity(self):
+        rho = mixture(np.eye(2, dtype=complex))
+        np.testing.assert_allclose(rho.matrix, np.eye(2) / 2, atol=1e-15)
+
+    def test_repeated_state_stays_pure(self):
+        psi = random_columns(2, 1, 31)
+        rho = mixture(np.repeat(psi, 8, axis=1))
+        np.testing.assert_allclose(rho.matrix, psi @ psi.conj().T, atol=1e-13)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10_000), count=st.integers(1, 6))
+    def test_any_convex_mixture_is_valid(self, seed, count):
+        # column j scaled by sqrt(B w_j): the equal-weight mixture is sum_j w_j |psi_j><psi_j|
+        weights = np.random.default_rng(seed).dirichlet(np.ones(count))
+        states = random_columns(2, count, seed)
+        rho = mixture(states * np.sqrt(count * weights))
+        expected = sum(w * np.outer(s, s.conj()) for w, s in zip(weights, states.T))
+        np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
+        rho.validate()  # Hermitian / trace / PSD
+        assert von_neumann_entropy(rho) >= -1e-12
+
+    @pytest.mark.parametrize("n_qubits, count", [(1, 1), (3, 5), (4, 40)])
+    def test_hermitian_bit_for_bit(self, n_qubits, count):
+        # hermitian_eigenvalues then symmetrizes nothing away
+        m = mixture(random_columns(n_qubits, count, 7)).matrix
+        assert np.array_equal(m, m.conj().T)
 
 
 class TestBatchSlices:
