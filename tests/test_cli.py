@@ -210,7 +210,6 @@ class TestOutRefusedBeforeWork:
         assert len(err) == 1
         assert err[0].startswith("error: out:")
         assert sorted(tmp_path.iterdir()) == before
-        assert not (tmp_path / "absent").exists()
 
     def test_validate_ignores_out(self, tmp_path, capsys):
         afile = tmp_path / "afile"
