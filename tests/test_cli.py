@@ -169,9 +169,9 @@ class TestCountsRefusedBeforeWork:
             (["generate", "--nq", "4", "--steps", "3", "--k-param", "inf"], "k_param"),
             (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3,inf"], "epsilon grid"),
             (["calibrate-gamma", "--nq", "4", "--eps-grid", "1e-4,1e-3,nan"], "epsilon grid"),
-            (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3:-1e-1:log:3"], "eps_grid"),
             (["generate", "--nq", "4", "--steps", "3", "--config", "seed = abc"], "seed"),
             (["ENTFORGE_SEED=x", "generate", "--nq", "4", "--steps", "3"], "seed"),
+            (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3:-1e-1:log:3"], "eps_grid"),
         ],
     )
     def test_exit_usage_naming_the_key(self, tmp_path, capsys, monkeypatch, argv, key):
