@@ -126,9 +126,10 @@ COMMAND_DEFAULTS = {
 
 def _read_config_file(path: Path) -> dict:
     try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ValidationError(f"config: cannot read '{path}': {exc.strerror}") from None
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ValidationError(f"config: cannot read '{path}': {reason}") from None
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -206,10 +207,10 @@ def _gate_count_table(config: ExperimentConfig) -> dict:
 
 def _require_out_dir(out_dir: Path) -> None:
     """Refuse, before any work, an output directory that ``_finish`` could
-    not create: ``out_dir`` must be a directory, or its nearest existing
-    ancestor a writable one."""
+    not create or write: ``out_dir``, or else its nearest existing ancestor,
+    must be a writable directory."""
     base = next(path for path in (out_dir, *out_dir.parents) if os.path.lexists(path))
-    if not base.is_dir() or base != out_dir and not os.access(base, os.W_OK):
+    if not base.is_dir() or not os.access(base, os.W_OK):
         raise ValidationError(f"out: '{base}' is not a writable directory")
 
 

@@ -62,18 +62,16 @@ class MixedSpectrum:
 
     lower: np.ndarray
     upper: np.ndarray
-    lower_stats: EntanglementStats
-    upper_stats: EntanglementStats
     total_entropy: float  # S(rho), shared by every lower bound
 
     @classmethod
     def join(cls, spans) -> MixedSpectrum:
         """One rho's spectrum from its ``mixed_spectrum`` calls over
-        consecutive bipartition spans, in order: the arrays concatenated and
-        their statistics, bit for bit those of the whole call."""
+        consecutive bipartition spans, in order: the arrays concatenated,
+        bit for bit those of the whole call."""
         lower = np.concatenate([s.lower for s in spans])
         upper = np.concatenate([s.upper for s in spans])
-        return cls(lower, upper, stats(lower), stats(upper), spans[0].total_entropy)
+        return cls(lower, upper, spans[0].total_entropy)
 
 
 def enumerate_balanced_bipartitions(n_q: int) -> list[Bipartition]:
@@ -182,7 +180,7 @@ def mixed_spectrum(rho: DensityMatrix, span: slice = slice(None)) -> MixedSpectr
         lower[i] = max(s_a - s_total, 0.0)
         eigs = np.linalg.eigvalsh(partial_transpose(hermitian, part))
         upper[i] = math.log2(float(np.sum(np.abs(eigs))))
-    return MixedSpectrum(lower, upper, stats(lower), stats(upper), s_total)
+    return MixedSpectrum(lower, upper, s_total)
 
 
 # --- analytic predictions -----------------------------------------------------

@@ -242,6 +242,8 @@ def run_generation(config: ExperimentConfig) -> GenerationResult:
     Each ensemble state's curve is one task of a ``spectrum_pool``, so a
     script calling this needs an ``if __name__ == "__main__":`` guard.
     """
+    if config.steps < 3:  # _tau_window fits t = 1..3 at least
+        raise ValidationError("steps: the convergence fit needs steps >= 3")
     with spectrum_pool() as pool:
         pending = {}
         for n_q in config.qubit_range:
@@ -532,29 +534,19 @@ def trajectory_spectra(pool, config: ExperimentConfig, n_q: int, eps: float, tim
 
 
 def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
-    batch_means = {
-        "lower": [b.lower_stats.mean for b in batch_specs],
-        "upper": [b.upper_stats.mean for b in batch_specs],
-    }
-    half = {}
-    for kind in ("lower", "upper"):
-        k = max(1, len(batch_means[kind]) // 2)
-        half[kind] = float(np.mean(batch_means[kind][:k]))
+    """Each bound's ``BoundRow`` from rho's spectrum ``spec`` and the batch
+    spectra: stderr from the batch means, convergence from their first half."""
     rows = []
-    for kind, kind_stats in (("lower", spec.lower_stats), ("upper", spec.upper_stats)):
-        drift = abs(kind_stats.mean - half[kind]) / max(abs(kind_stats.mean), 1e-12)
+    for kind in ("lower", "upper"):
+        values = getattr(spec, kind)
+        mean = float(values.mean())
+        batch_means = [float(getattr(b, kind).mean()) for b in batch_specs]
+        half = float(np.mean(batch_means[: max(1, len(batch_means) // 2)]))
+        drift = abs(mean - half) / max(abs(mean), 1e-12)
+        converged = bool(drift <= CONVERGENCE_DRIFT)
+        stderr = _batch_stderr(batch_means)
         rows.append(
-            BoundRow(
-                n_q,
-                time,
-                eps,
-                kind,
-                kind_stats.mean,
-                kind_stats.std_dev,
-                _batch_stderr(batch_means[kind]),
-                n_real,
-                bool(drift <= CONVERGENCE_DRIFT),
-            )
+            BoundRow(n_q, time, eps, kind, mean, float(values.std()), stderr, n_real, converged)
         )
     return rows
 
@@ -713,8 +705,7 @@ def find_threshold(config: ExperimentConfig, sweep: NoiseSweepResult) -> Thresho
 def _refine_threshold(config, pool, n_q, t, kind, curve, target, eps_star):
     result = grid_point(config, n_q, eps_star, [t])
     spec = submit_spectrum(pool, result.snapshots[t].rho).get()
-    mean = spec.lower_stats.mean if kind == "lower" else spec.upper_stats.mean
-    refined_curve = sorted(curve + [(eps_star, mean)])
+    refined_curve = sorted(curve + [(eps_star, float(getattr(spec, kind).mean()))])
     return interpolate_threshold(refined_curve, target), "refined"
 
 
@@ -734,10 +725,13 @@ def calibrate_gamma(
     config: ExperimentConfig, snapshot_times: list[int] | None = None
 ) -> GammaCalibration:
     """``fit_gamma`` of the mean fidelities of a lower-bound ``grid_point``
-    run (stream "gamma") at each (n_q, eps) of ``config``'s grid."""
+    run (stream "gamma") at each (n_q, eps) of ``config``'s grid; a grid
+    that leaves ``fit_gamma`` too few points is refused before any run."""
     if not config.epsilon_grid:
         raise ValidationError("gamma calibration needs a nonempty epsilon grid")
     times = _snapshot_times(config, snapshot_times)
+    grid = [(n, t, e) for n in config.qubit_range for e in config.epsilon_grid for t in times]
+    _perturbative_points(grid)  # before any trajectory
     points = []
     for n_q in config.qubit_range:
         for eps in config.epsilon_grid:
@@ -746,29 +740,32 @@ def calibrate_gamma(
     return fit_gamma(config, points)
 
 
+def _perturbative_points(points) -> list:
+    """The (n_q, t, eps, ...) ``points`` inside the perturbative regime
+    REFERENCE_GAMMA * eps^2 * (3 n_q^2 + n_q) * t <= 0.5, which depends on
+    the grid alone; fewer than 3 raise ``ValidationError``."""
+    kept = [
+        (n_q, t, eps, *rest) for n_q, t, eps, *rest in points
+        if REFERENCE_GAMMA * (eps**2 * reference_gate_count(n_q) * t) <= 0.5
+    ]
+    if len(kept) < 3:
+        raise ValidationError("fewer than 3 grid points inside the perturbative regime")
+    return kept
+
+
 def fit_gamma(config: ExperimentConfig, points) -> GammaCalibration:
     """Slope of -ln F against eps^2 * n_g * t over the (n_q, t, eps, mean
     fidelity) ``points`` inside the perturbative regime, reported for both
     the built decomposition's gate count and the reference convention
     3 n_q^2 + n_q; fewer than 3 such points raise ``ValidationError``."""
+    kept = _perturbative_points(points)
     gate_counts = {
         n_q: build_step_circuit(MapParams(n_q, config.k_param)).gate_count
-        for n_q in {p[0] for p in points}
+        for n_q in {p[0] for p in kept}
     }
-
-    xs_actual, xs_reference, ys, kept = [], [], [], []
-    for n_q, t, eps, fid in points:
-        x_ref = eps**2 * reference_gate_count(n_q) * t
-        if REFERENCE_GAMMA * x_ref > 0.5:  # outside the perturbative regime
-            continue
-        xs_actual.append(eps**2 * gate_counts[n_q] * t)
-        xs_reference.append(x_ref)
-        ys.append(-math.log(max(fid, 1e-300)))
-        kept.append((n_q, t, eps, fid))
-    if len(kept) < 3:
-        raise ValidationError(
-            "fewer than 3 grid points inside the perturbative regime"
-        )
+    xs_actual = [eps**2 * gate_counts[n_q] * t for n_q, t, eps, _ in kept]
+    xs_reference = [eps**2 * reference_gate_count(n_q) * t for n_q, t, eps, _ in kept]
+    ys = [-math.log(max(fid, 1e-300)) for *_, fid in kept]
     fit_actual = fit_linear(list(zip(xs_actual, ys)))
     fit_reference = fit_linear(list(zip(xs_reference, ys)))
     return GammaCalibration(

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import warnings
 
 import numpy as np
@@ -88,9 +89,11 @@ class TestConfigFile:
         out = tmp_path / "o"
         assert main(["generate", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
 
-    @pytest.mark.parametrize("missing", [True, False])
+    @pytest.mark.parametrize("missing", [True, False, "not-utf8"])
     def test_unreadable_config_exits_usage(self, tmp_path, capsys, missing):
         cfg = tmp_path / "absent.cfg" if missing else tmp_path
+        if missing == "not-utf8":
+            cfg.write_bytes(b"nq = 4\xff\n")
         out = tmp_path / "o"
         code = main(["noise-sweep", "--nq", "4", "--config", str(cfg), "--out", str(out)])
         assert code == EXIT_USAGE
@@ -211,6 +214,27 @@ class TestOutRefusedBeforeWork:
         assert err[0].startswith("error: out:")
         assert sorted(tmp_path.iterdir()) == before
 
+    def test_existing_out_that_cannot_be_written_exits_usage(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # root may write to any directory, so a patched os.access stands in
+        # for a read-only one
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for an output directory that cannot be written")
+
+        monkeypatch.setattr(experiments, "run_trajectories", no_work)
+        monkeypatch.setattr(experiments, "spectrum_pool", no_work)
+        out = tmp_path / "readonly"
+        out.mkdir()
+        monkeypatch.setattr(os, "access", lambda path, mode, **kwargs: False)
+        code = main(["noise-sweep", "--nq", "4", "--eps-grid", "1e-3", "--steps", "3",
+                     "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: out:") and str(out) in err[0]
+        assert list(out.iterdir()) == []
+
     def test_validate_ignores_out(self, tmp_path, capsys):
         afile = tmp_path / "afile"
         afile.write_text("")
@@ -252,6 +276,20 @@ class TestGenerateCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
         assert set(manifest["config"]) == fields - {"master_seed"}
+
+    def test_steps_below_three_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        # the convergence fit needs t = 1..3
+        def no_work(*args, **kwargs):
+            raise AssertionError("the ensemble started for a fit that cannot be made")
+
+        monkeypatch.setattr(experiments, "spectrum_pool", no_work)
+        out = tmp_path / "o"
+        code = main(["generate", "--nq", "4,6,8,10", "--steps", "2", "--out", str(out)])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: steps:")
+        assert not out.exists()
 
     def test_rerun_is_bit_identical(self, generate_run, tmp_path):
         _, out = generate_run
@@ -418,6 +456,21 @@ class TestCalibrateGammaCommand:
         assert 0.0 < summary["gamma_reference_convention"] < 1.0
         header = (out / "fits.csv").read_text().splitlines()[0]
         assert header == "dataset,exponent_or_rate,prefactor,r_squared"
+
+    def test_grid_outside_perturbative_regime_refused_before_work(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("trajectories ran for a grid the fit must discard")
+
+        monkeypatch.setattr(experiments, "run_trajectories", no_work)
+        out = tmp_path / "gamma"
+        code = main(["calibrate-gamma", "--nq", "4,6", "--eps-grid", "0.1,0.2,0.3",
+                     "--steps", "30", "--out", str(out)])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: fewer than 3 grid points inside the perturbative regime"]
+        assert not out.exists()
 
 
 class TestValidateCommand:

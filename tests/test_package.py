@@ -45,6 +45,16 @@ def test_readme_imports_are_exported():
     assert names <= set(entforge.__all__)
 
 
+def test_readme_examples_run():
+    # the first block is the library example, run as written; the second
+    # keeps its work under a __main__ guard, so outside a main module it
+    # only compiles and imports
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 2
+    for number, block in enumerate(blocks, 1):
+        exec(compile(block, f"README.md python block {number}", "exec"), {"__name__": "readme"})
+
+
 def unused_imports(source: str) -> set[str]:
     """Names a module imports but never reads; names in ``__all__`` count as read."""
     tree = ast.parse(source)
