@@ -206,19 +206,23 @@ def apply_two_qubit_phase(
 
 
 def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a Hermitian matrix.
+    """Ascending eigenvalues of a Hermitian matrix, or of each matrix of a
+    (..., d, d) stack.
 
     Asymmetry up to ``HERMITICITY_ATOL`` is symmetrized away; anything
-    larger is an error.  Every rho an experiment forms comes from
-    ``noise.mixture`` and is Hermitian bit for bit, and so are its partial
-    traces; rounding asymmetry can still arrive in a matrix a caller builds
-    another way, such as its own ``DensityMatrix``.
+    larger, in any matrix of a stack, is an error.  Every rho an experiment
+    forms comes from ``noise.mixture`` and is Hermitian bit for bit, and so
+    are its partial traces; rounding asymmetry can still arrive in a matrix
+    a caller builds another way, such as its own ``DensityMatrix``.
+    Symmetrizing changes no entry of an exactly Hermitian matrix that the
+    eigensolver reads, so each matrix of a stack gets the eigenvalues of a
+    call on it alone.
     """
-    asym = float(np.max(np.abs(matrix - matrix.conj().T)))
+    asym = float(np.max(np.abs(matrix - matrix.conj().swapaxes(-1, -2))))
     if asym > HERMITICITY_ATOL:
         raise ValidationError(f"matrix asymmetry {asym} exceeds {HERMITICITY_ATOL}")
     if asym > 0.0:
-        matrix = 0.5 * (matrix + matrix.conj().T)
+        matrix = 0.5 * (matrix + matrix.conj().swapaxes(-1, -2))
     return np.linalg.eigvalsh(matrix)
 
 

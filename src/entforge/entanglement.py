@@ -9,6 +9,7 @@ fidelity-based entropy bound, and the resulting noise-threshold estimates.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -30,6 +31,9 @@ from .core import (
 )
 
 LN2 = math.log(2.0)
+#: gathered amplitudes per block of bipartitions in ``pure_spectrum``, so a
+#: block's Schmidt matrices and their Gram matrices stay in a core's L2 cache
+PURE_BLOCK_BYTES = 512 * 1024
 
 
 class RegimeWarning(UserWarning):
@@ -112,11 +116,43 @@ def histogram(samples, bin_width: float) -> Histogram:
     return Histogram(edges, density, bin_width)
 
 
+@functools.lru_cache(maxsize=None)
+def _schmidt_indices(n_q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per balanced bipartition, in enumeration order, the amplitude index
+    of each row and of each column of its Schmidt matrix: row (column) i
+    puts bit j of i on the j-th smallest qubit of A (of B), the order of
+    ``reduced_density_matrix``.  Two read-only (P, 2**(n_q/2)) arrays."""
+    half = n_q // 2
+    bits = (np.arange(2**half)[:, None] >> np.arange(half)) & 1
+    indices = []
+    for side in ("qubits_a", "qubits_b"):
+        qubits = np.array([getattr(p, side) for p in enumerate_balanced_bipartitions(n_q)])
+        index = (bits[None] << qubits[:, None, :]).sum(axis=-1)
+        index.setflags(write=False)
+        indices.append(index)
+    return tuple(indices)
+
+
 def pure_spectrum(state: StateVector) -> np.ndarray:
     """Reduced-state entropy (bits) of a pure state per balanced bipartition,
-    as a float array in ``enumerate_balanced_bipartitions`` order."""
-    parts = enumerate_balanced_bipartitions(state.n_qubits)
-    return np.array([von_neumann_entropy(reduced_density_matrix(state, p)) for p in parts])
+    as a float array in ``enumerate_balanced_bipartitions`` order.
+
+    The bipartitions go in blocks whose gathered amplitudes take about
+    ``PURE_BLOCK_BYTES``: one gather of the block's (P, d_A, d_B) Schmidt
+    matrices M, one stacked M M^dagger, one ``hermitian_eigenvalues`` call
+    for the stack and ``spectrum_entropy`` per bipartition.  Each value is
+    bit for bit ``von_neumann_entropy(reduced_density_matrix(state, part))``.
+    """
+    rows, cols = _schmidt_indices(state.n_qubits)
+    size = max(1, PURE_BLOCK_BYTES // state.amplitudes.nbytes)  # bipartitions per block
+    spectrum = np.empty(len(rows))
+    for start in range(0, len(rows), size):
+        block = slice(start, start + size)
+        schmidt = state.amplitudes[rows[block, :, None] | cols[block, None, :]]
+        gram = schmidt @ schmidt.conj().swapaxes(-1, -2)
+        for i, eigs in enumerate(hermitian_eigenvalues(gram), start):
+            spectrum[i] = spectrum_entropy(eigs)
+    return spectrum
 
 
 def page_value(n_q: int) -> float:

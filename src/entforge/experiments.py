@@ -43,6 +43,7 @@ from .noise import (
     derive_seed,
     mixture,
     recommend_realizations,
+    require_ensemble_memory,
     require_memory,
     run_trajectories,
 )
@@ -225,13 +226,19 @@ def _tau_window(deviation: np.ndarray) -> int:
 
 def _generation_row(task) -> np.ndarray:
     """Mean entanglement over balanced bipartitions of one ensemble state
-    at t = 0..steps."""
+    at t = 0..steps.
+
+    A computational basis state (one nonzero amplitude, as every ensemble
+    state is at t = 0) is a product state: its entry keeps the +0.0 that
+    ``stats(pure_spectrum(state)).mean`` would give, and no spectrum is taken.
+    """
     state, params, steps = task
     row = np.zeros(steps + 1)
     for t in range(steps + 1):
         if t > 0:
             state = evolve_exact(state, params, 1)
-        row[t] = stats(pure_spectrum(state)).mean
+        if np.count_nonzero(state.amplitudes) > 1:
+            row[t] = stats(pure_spectrum(state)).mean
     return row
 
 
@@ -244,6 +251,7 @@ def run_generation(config: ExperimentConfig) -> GenerationResult:
     """
     if config.steps < 3:  # _tau_window fits t = 1..3 at least
         raise ValidationError("steps: the convergence fit needs steps >= 3")
+    require_ensemble_memory(dict.fromkeys(config.qubit_range, GENERATION_ENSEMBLE), pool_size())
     with spectrum_pool() as pool:
         pending = {}
         for n_q in config.qubit_range:
@@ -325,6 +333,8 @@ def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
         raise ValidationError("spectrum rate fit needs at least 3 register sizes")
     if any(n < 4 for n in config.qubit_range):
         raise ValidationError("spectrum experiments need n_q >= 4")
+    states = GENERATION_ENSEMBLE + config.haar_samples  # evolved and Haar states per size
+    require_ensemble_memory(dict.fromkeys(config.qubit_range, states), pool_size())
     with spectrum_pool() as pool:
         pending = {}
         for n_q in config.qubit_range:

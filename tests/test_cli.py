@@ -291,6 +291,27 @@ class TestGenerateCommand:
         assert err[0].startswith("error: steps:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["generate", "--nq", "40"], ["spectrum", "--nq", "4,6,40"]]
+    )
+    def test_register_that_cannot_fit_refused_before_work(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # 32 states of 2**40 amplitudes: the estimate alone refuses them,
+        # before any state is built or any worker starts
+        def no_work(*args, **kwargs):
+            raise AssertionError("the ensemble started for a register that cannot fit")
+
+        monkeypatch.setattr(experiments, "spectrum_pool", no_work)
+        monkeypatch.setattr(experiments, "generation_ensemble", no_work)
+        monkeypatch.setattr(experiments, "haar_random_state", no_work)
+        out = tmp_path / "o"
+        assert main(argv + ["--steps", "5", "--out", str(out)]) == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: n_q = 40 with ") and "this machine has" in err[0]
+        assert not out.exists()
+
     def test_rerun_is_bit_identical(self, generate_run, tmp_path):
         _, out = generate_run
         out2 = tmp_path / "again"

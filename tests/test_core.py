@@ -247,6 +247,31 @@ class TestEntropyAndNorms:
             trace_norm(bad)
 
 
+class TestHermitianEigenvaluesOfAStack:
+    @staticmethod
+    def hermitian_stack(count, dim, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((count, dim, dim)) + 1j * rng.standard_normal((count, dim, dim))
+        return m + m.conj().swapaxes(-1, -2)  # Hermitian bit for bit
+
+    def test_rejects_one_matrix_beyond_tolerance(self):
+        stack = self.hermitian_stack(4, 8, 0)
+        stack[2, 0, 3] += 2e-9
+        with pytest.raises(ValidationError, match="asymmetry"):
+            hermitian_eigenvalues(stack)
+
+    def test_rounding_asymmetry_gives_each_matrix_its_own_eigenvalues(self):
+        stack = self.hermitian_stack(4, 8, 1)
+        stack[1, 2, 5] += 3e-13
+        stack[1, 4, 4] += 1e-14j
+        eigs = hermitian_eigenvalues(stack)
+        assert eigs.shape == (4, 8)
+        for matrix, values in zip(stack, eigs):
+            np.testing.assert_array_equal(values, hermitian_eigenvalues(matrix))
+        symmetrized = 0.5 * (stack[1] + stack[1].conj().T)
+        np.testing.assert_array_equal(eigs[1], np.linalg.eigvalsh(symmetrized))
+
+
 class TestFidelity:
     def test_self_fidelity_one(self):
         psi = random_state(3, 19)

@@ -75,6 +75,22 @@ class TestPureSpectrum:
         for i, part in enumerate(parts):
             assert spectrum[i] == von_neumann_entropy(reduced_density_matrix(state, part))
 
+    @pytest.mark.parametrize("n_q", [8, 10, 12])
+    def test_blocks_match_reference_bit_for_bit(self, n_q):
+        # at n_q = 10 and 12 the 126 and 462 bipartitions span several blocks
+        params = MapParams(n_q)
+        states = [
+            evolve_exact(momentum_basis_state(params, 1), params, 5),
+            haar_random_state(n_q, 3),
+            StateVector.basis_state(n_q, 5),
+        ]
+        parts = enumerate_balanced_bipartitions(n_q)
+        for state in states:
+            reference = np.array(
+                [von_neumann_entropy(reduced_density_matrix(state, part)) for part in parts]
+            )
+            assert pure_spectrum(state).tobytes() == reference.tobytes()
+
     def test_sawtooth_state_near_page(self):
         params = MapParams(8)
         state = evolve_exact(momentum_basis_state(params), params, 30)

@@ -164,6 +164,15 @@ class TestRunGeneration:
         for s in result.series.values():
             assert s.tau > 0
 
+    @pytest.mark.parametrize("n_q", [4, 6, 8, 10])
+    def test_ensemble_starts_from_basis_states_of_zero_entropy(self, n_q):
+        # _generation_row takes no spectrum of these states and keeps the
+        # +0.0 of its np.zeros row, which must equal the spectrum's mean
+        for state in generation_ensemble(MapParams(n_q)):
+            assert np.count_nonzero(state.amplitudes) == 1
+            mean = stats(pure_spectrum(state)).mean
+            assert mean == 0.0 and math.copysign(1.0, mean) == 1.0
+
 
 @pytest.fixture(scope="module")
 def spectrum_result():

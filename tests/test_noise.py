@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from entforge import noise
 from entforge.core import ValidationError, fidelity, von_neumann_entropy
+from entforge.entanglement import PURE_BLOCK_BYTES
 from entforge.noise import (
     NoiseRealization,
     batch_slices,
@@ -15,6 +16,7 @@ from entforge.noise import (
     perturb_one_qubit_gate,
     perturb_phase_gate,
     recommend_realizations,
+    require_ensemble_memory,
     require_memory,
     run_trajectories,
 )
@@ -380,6 +382,18 @@ class TestMemoryGuard:
         require_memory(4, 1, 16)
         with pytest.raises(ValidationError, match="for 1 spectrum worker"):
             require_memory(4, 1, 16, workers=1)
+
+    def test_ensemble_estimate_counts_states_copies_and_workers(self, monkeypatch):
+        # 32 states of n_q = 4 and their pickled copies: 32 x 2 x 256 B; a
+        # worker holds ENSEMBLE_WORKER_COPIES blocks of PURE_BLOCK_BYTES
+        states = 32 * 2 * 16 * 2**4
+        worker = noise.ENSEMBLE_WORKER_COPIES * PURE_BLOCK_BYTES
+        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: states + worker)
+        require_ensemble_memory({4: 32}, workers=1)
+        with pytest.raises(ValidationError, match="n_q = 4 with 32 pure states"):
+            require_ensemble_memory({4: 32, 2: 1}, workers=1)
+        with pytest.raises(ValidationError, match="for 2 spectrum worker"):
+            require_ensemble_memory({4: 32}, workers=2)
 
     def test_run_trajectories_refuses_before_work(self, monkeypatch):
         monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10**4)
