@@ -19,6 +19,7 @@ import math
 import multiprocessing
 import os
 import sys
+import types
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
@@ -27,8 +28,6 @@ import numpy as np
 from .core import DensityMatrix, ValidationError
 from .entanglement import (
     enumerate_balanced_bipartitions,
-    histogram,
-    Histogram,
     MixedSpectrum,
     haar_random_state,
     mixed_spectrum,
@@ -199,7 +198,6 @@ class GenerationSeries:
     n_qubits: int
     times: np.ndarray
     mean_entropy: np.ndarray  # ensemble-averaged <E_AB>(t)
-    deviation: np.ndarray  # |page - <E_AB>(t)|, the fitted series
     page: float
     tau: float
     tau_fit: FitResult
@@ -244,11 +242,8 @@ def _generation_row(task) -> np.ndarray:
 
 def run_generation(config: ExperimentConfig) -> GenerationResult:
     """Ensemble-averaged entanglement growth <E_AB>(t) and its convergence
-    time scale per register size.
-
-    Each ensemble state's curve is one task of a ``spectrum_pool``, so a
-    script calling this needs an ``if __name__ == "__main__":`` guard.
-    """
+    time scale per register size; each ensemble state's curve is one task
+    of a ``spectrum_pool``."""
     if config.steps < 3:  # _tau_window fits t = 1..3 at least
         raise ValidationError("steps: the convergence fit needs steps >= 3")
     require_ensemble_memory(dict.fromkeys(config.qubit_range, GENERATION_ENSEMBLE), pool_size())
@@ -273,7 +268,6 @@ def run_generation(config: ExperimentConfig) -> GenerationResult:
             n_q,
             np.arange(config.steps + 1),
             mean_entropy,
-            deviation,
             target,
             tau,
             tau_fit,
@@ -295,7 +289,6 @@ class SpectrumFamily:
     mean: float
     std: float
     relative_std: float  # mean over states of the per-state sigma/mean
-    histogram: Histogram
 
 
 @dataclass(frozen=True)
@@ -309,7 +302,6 @@ def _spectrum_family(n_q, family, spectra) -> SpectrumFamily:
     pooled = np.concatenate(spectra)
     masks = np.tile([p.a_mask for p in enumerate_balanced_bipartitions(n_q)], len(spectra))
     rels = [stats(values).relative_std for values in spectra]
-    width = max((pooled.max() - pooled.min()) / 25.0, 1e-6)
     return SpectrumFamily(
         n_q,
         family,
@@ -318,17 +310,13 @@ def _spectrum_family(n_q, family, spectra) -> SpectrumFamily:
         float(pooled.mean()),
         float(pooled.std()),
         float(np.mean(rels)),
-        histogram(pooled, width),
     )
 
 
 def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
     """Entanglement distributions of evolved vs Haar-random states, with the
-    exponential width-vs-size fit for both families.
-
-    Each state's spectrum is one task of a ``spectrum_pool``, so a script
-    calling this needs an ``if __name__ == "__main__":`` guard.
-    """
+    exponential width-vs-size fit for both families; each state's spectrum
+    is one task of a ``spectrum_pool``."""
     if len(config.qubit_range) < 3:
         raise ValidationError("spectrum rate fit needs at least 3 register sizes")
     if any(n < 4 for n in config.qubit_range):
@@ -430,22 +418,22 @@ def spectrum_pool():
     the parent's BLAS threads).  The pure-state experiments map their
     ensembles over the workers; a noise sweep sends each batch's spectrum
     while its trajectories still run, and splits each rho's bipartitions
-    over all the workers (``submit_spectrum``).  A main module the workers
-    cannot re-import, as ``multiprocessing.spawn`` resolves it (a script
-    piped into ``python -``), raises ``ValidationError``: each worker would
-    die on start, replaced forever.
+    over all the workers (``submit_spectrum``).
+
+    The workers never import the caller's main module: an empty module
+    stands in for it while the constructor starts them, so an unguarded
+    script or one piped into ``python -`` runs as a guarded one does.  Every
+    task sent here is an entforge function; a callable defined in the
+    caller's script cannot be sent to this pool.
     """
     main = sys.modules["__main__"]
-    path = getattr(main, "__file__", None)
-    if getattr(main.__spec__, "name", None) is None and path is not None:
-        path = os.path.join(multiprocessing.process.ORIGINAL_DIR or "", path)
-        if not os.path.isfile(path):
-            raise ValidationError(f"spectrum workers cannot re-import the main module {path!r}")
+    sys.modules["__main__"] = types.ModuleType("__main__")
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:  # a spawn pool starts every worker in its constructor
         pool = multiprocessing.get_context("spawn").Pool(pool_size())
     finally:
+        sys.modules["__main__"] = main
         for name, value in saved.items():
             if value is None:
                 os.environ.pop(name, None)
@@ -581,10 +569,11 @@ def run_noise_sweep(
     config: ExperimentConfig, snapshot_times: list[int] | None = None
 ) -> NoiseSweepResult:
     """Distillable-entanglement bound means over balanced bipartitions as a
-    function of the noise amplitude, with batch-means error bars.
+    function of the noise amplitude, with batch-means error bars; the
+    spectra run in a ``spectrum_pool``.
 
-    The spectra run in a ``spectrum_pool``, so a script calling this needs
-    an ``if __name__ == "__main__":`` guard.
+    Each (n_q, t) bound's ``pure_reference`` is the mean of the eps = 0
+    state's ``pure_spectrum`` (lower) or ``pure_log_negativity`` (upper).
     """
     times = _snapshot_times(config, snapshot_times)
     bound_rows: list[BoundRow] = []
@@ -596,13 +585,10 @@ def run_noise_sweep(
         for n_q in config.qubit_range:
             params = MapParams(n_q, config.k_param)
             init = momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM)
-            parts = enumerate_balanced_bipartitions(n_q)
             for t in times:
                 ideal = evolve_exact(init, params, t)
                 pure_reference[(n_q, t, "lower")] = stats(pure_spectrum(ideal)).mean
-                pure_reference[(n_q, t, "upper")] = float(
-                    np.mean([pure_log_negativity(ideal, p) for p in parts])
-                )
+                pure_reference[(n_q, t, "upper")] = float(pure_log_negativity(ideal).mean())
             for eps in config.epsilon_grid:
                 result, spectra = trajectory_spectra(pool, config, n_q, eps, times)
                 for t in times:

@@ -9,6 +9,7 @@ from entforge.core import (
     StateVector,
     ValidationError,
     fidelity,
+    hermitian_eigenvalues,
     reduced_density_matrix,
     von_neumann_entropy,
 )
@@ -20,7 +21,6 @@ from entforge.entanglement import (
     enumerate_balanced_bipartitions,
     fano_entropy_bound,
     haar_random_state,
-    histogram,
     log_negativity,
     mixed_spectrum,
     page_value,
@@ -90,6 +90,12 @@ class TestPureSpectrum:
                 [von_neumann_entropy(reduced_density_matrix(state, part)) for part in parts]
             )
             assert pure_spectrum(state).tobytes() == reference.tobytes()
+            negativities = []
+            for part in parts:
+                eigs = hermitian_eigenvalues(reduced_density_matrix(state, part).matrix)
+                roots = np.sqrt(np.clip(eigs, 0.0, 1.0))
+                negativities.append(2.0 * math.log2(float(np.sum(roots))))
+            assert pure_log_negativity(state).tobytes() == np.array(negativities).tobytes()
 
     def test_sawtooth_state_near_page(self):
         params = MapParams(8)
@@ -156,10 +162,11 @@ class TestDistillableBounds:
     def test_pure_log_negativity_matches_direct(self):
         psi = haar_random_state(6, 11)
         rho = DensityMatrix.from_pure(psi)
-        for part in enumerate_balanced_bipartitions(6)[:4]:
-            direct = log_negativity(rho, part)
-            schmidt = pure_log_negativity(psi, part)
-            assert schmidt == pytest.approx(direct, abs=1e-9)
+        parts = enumerate_balanced_bipartitions(6)
+        schmidt = pure_log_negativity(psi)
+        assert schmidt.dtype == np.float64 and schmidt.shape == (len(parts),)
+        direct = [log_negativity(rho, part) for part in parts]
+        np.testing.assert_allclose(schmidt, direct, rtol=0, atol=1e-9)
 
 
 class TestMixedSpectrum:
@@ -265,28 +272,6 @@ class TestStats:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             stats([])
-
-
-class TestHistogram:
-    def test_single_sample(self):
-        h = histogram([1.5], 0.1)
-        assert h.density.shape == (1,)
-        assert h.density[0] == pytest.approx(1 / 0.1)
-
-    def test_normalization(self):
-        rng = np.random.default_rng(0)
-        h = histogram(rng.uniform(0, 3, 500), 0.2)
-        assert float(np.sum(h.density) * h.bin_width) == pytest.approx(1.0, abs=1e-9)
-
-    def test_uniform_density_near_one(self):
-        rng = np.random.default_rng(1)
-        h = histogram(rng.uniform(0, 1, 20_000), 0.1)
-        interior = h.density[1:-1]
-        np.testing.assert_allclose(interior, 1.0, atol=0.15)
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValidationError):
-            histogram([1.0], 0.0)
 
 
 class TestBinaryEntropy:

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import multiprocessing.pool
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +10,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from entforge import experiments, noise
+from entforge import entanglement, experiments, noise
 from entforge.cli import EXIT_OK, main
-from entforge.core import DensityMatrix, ValidationError, von_neumann_entropy
+from entforge.core import (
+    DensityMatrix,
+    ValidationError,
+    hermitian_eigenvalues,
+    reduced_density_matrix,
+    von_neumann_entropy,
+)
 from entforge.entanglement import (
     enumerate_balanced_bipartitions,
     haar_random_state,
@@ -187,12 +194,6 @@ class TestRunSpectrum:
             (n, f) for n in (4, 6, 8) for f in ("sawtooth", "haar")
         }
 
-    def test_histogram_normalized(self, spectrum_result):
-        result = spectrum_result
-        for fam in result.families.values():
-            total = float(np.sum(fam.histogram.density) * fam.histogram.bin_width)
-            assert total == pytest.approx(1.0, abs=1e-9)
-
     def test_relative_std_shrinks_with_size(self, spectrum_result):
         result = spectrum_result
         for family in ("sawtooth", "haar"):
@@ -302,6 +303,32 @@ class TestNoiseSweepAndThreshold:
         for lo, up in zip(lower, upper):
             assert lo.mean <= up.mean + 1e-9
 
+    def test_pure_reference_takes_no_partial_trace_of_a_pure_state(self, monkeypatch):
+        # both eps = 0 references come from the stacked Schmidt blocks, bit
+        # for bit the mean of the per-bipartition formulas
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return reduced_density_matrix(*args, **kwargs)
+
+        monkeypatch.setattr(entanglement, "reduced_density_matrix", counting)
+        cfg = ExperimentConfig(qubit_range=(4,), steps=4, epsilon_grid=(1e-2,), n_realizations=16)
+        result = run_noise_sweep(cfg, snapshot_times=[2, 4])
+        assert calls == []
+        params = MapParams(4)
+        init = momentum_basis_state(params, experiments.DEFAULT_INITIAL_MOMENTUM)
+        for t in (2, 4):
+            ideal = evolve_exact(init, params, t)
+            reduced = [reduced_density_matrix(ideal, p) for p in enumerate_balanced_bipartitions(4)]
+            entropies = [von_neumann_entropy(rho_a) for rho_a in reduced]
+            negativities = []
+            for rho_a in reduced:
+                roots = np.sqrt(np.clip(hermitian_eigenvalues(rho_a.matrix), 0.0, 1.0))
+                negativities.append(2.0 * math.log2(float(np.sum(roots))))
+            assert result.pure_reference[(4, t, "lower")] == float(np.mean(entropies))
+            assert result.pure_reference[(4, t, "upper")] == float(np.mean(negativities))
+
     def test_threshold_from_sweep(self, sweep):
         cfg, result = sweep
         thr = find_threshold(cfg, sweep=result)
@@ -407,23 +434,38 @@ class TestNoiseSweepAndThreshold:
 
 
 class TestSpectrumPool:
-    def test_refuses_main_module_from_stdin(self):
-        # spawn workers re-import __main__; from '<stdin>' each one would
-        # die on start and the pool would replace it forever
-        script = (
-            "from entforge.experiments import spectrum_pool\n"
-            "with spectrum_pool() as pool:\n"
-            "    pool.apply(abs, (-1,))\n"
-        )
+    def test_unguarded_and_piped_scripts_run_pooled_commands(self, tmp_path):
+        # spawn workers never import the caller's main module, so a script
+        # without a __main__ guard, or one piped into `python -`, neither
+        # re-runs in each worker nor hangs as the pool replaces dead workers
+        def generate(out):
+            return ["generate", "--nq", "4", "--steps", "3", "--out", str(out)]
+
+        assert main(generate(tmp_path / "in-process")) == EXIT_OK
+        expected = (tmp_path / "in-process" / "generation.csv").read_bytes()
         src = str(Path(experiments.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        run = subprocess.run(
-            [sys.executable, "-"], input=script, capture_output=True, text=True,
-            env=env, timeout=20,
-        )
-        assert run.returncode != 0
-        assert "cannot re-import the main module" in run.stderr
-        assert "FileNotFoundError" not in run.stderr
+        for name in ("piped", "unguarded"):
+            out = tmp_path / name
+            script = f"import sys\nfrom entforge.cli import main\nsys.exit(main({generate(out)!r}))\n"
+            if name == "piped":
+                args, stdin = [sys.executable, "-"], script
+            else:
+                path = tmp_path / "unguarded.py"
+                path.write_text(script)
+                args, stdin = [sys.executable, str(path)], None
+            child = subprocess.Popen(
+                args, stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True, env=env, start_new_session=True,
+            )
+            try:
+                _, stderr = child.communicate(stdin, timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(child.pid, signal.SIGKILL)  # the child and its spawn workers
+                child.communicate()
+                pytest.fail(f"{name} script still running after 60 s")
+            assert child.returncode == 0, stderr
+            assert (out / "generation.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("n_q", [4, 6])
     def test_pooled_spectra_match_in_process(self, n_q):

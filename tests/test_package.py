@@ -46,11 +46,9 @@ def test_readme_imports_are_exported():
 
 
 def test_readme_examples_run():
-    # the first block is the library example, run as written; the second
-    # keeps its work under a __main__ guard, so outside a main module it
-    # only compiles and imports
+    # the one block is the library example, run as written
     blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
-    assert len(blocks) == 2
+    assert len(blocks) == 1
     for number, block in enumerate(blocks, 1):
         exec(compile(block, f"README.md python block {number}", "exec"), {"__name__": "readme"})
 
