@@ -34,6 +34,7 @@ from . import __version__
 from .core import ValidationError
 from .entanglement import page_value, predicted_entropy
 from .experiments import (
+    DEFAULT_INITIAL_MOMENTUM,
     REFERENCE_GAMMA,
     ExperimentConfig,
     GammaCalibration,
@@ -86,6 +87,8 @@ def _parse_realizations(text: str) -> int | str:
 
 
 def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got '{text}'")
     return text.lower() == "true"
 
 
@@ -354,25 +357,27 @@ def _sweep_outputs(config, sweep) -> tuple[dict, dict]:
     the eps = 0 references, the unconverged points, the initial momentum,
     the gamma fitted to the sweep's fidelities (None when they do not
     determine it) and the predictions it gives."""
+    kinds = ("lower", "upper")
     tables = {
         "noise_sweep.csv": (
             ["nq", "eps", "bound_kind", "mean", "std", "stderr", "n_realizations"],
             [
-                (r.n_qubits, r.epsilon, r.bound_kind, r.mean, r.std, r.stderr, r.n_realizations)
-                for r in sweep.bound_rows
+                (p.n_qubits, p.epsilon, kind, b.mean, b.std, b.stderr, p.n_realizations)
+                for p in sweep.points
+                for kind, b in zip(kinds, (p.lower, p.upper))
             ],
         ),
         "fidelity.csv": (
             ["nq", "eps", "fidelity", "stderr", "n_realizations"],
             [
-                (r.n_qubits, r.epsilon, r.fidelity, r.stderr, r.n_realizations)
-                for r in sweep.fidelity_rows
+                (p.n_qubits, p.epsilon, p.fidelity, p.fidelity_stderr, p.n_realizations)
+                for p in sweep.points
             ],
         ),
     }
     try:
         gamma_cal = fit_gamma(
-            config, [(r.n_qubits, r.time, r.epsilon, r.fidelity) for r in sweep.fidelity_rows]
+            config, [(p.n_qubits, p.time, p.epsilon, p.fidelity) for p in sweep.points]
         )
     except ValidationError:
         gamma_cal = None
@@ -381,11 +386,12 @@ def _sweep_outputs(config, sweep) -> tuple[dict, dict]:
             f"{n}:{t}:{kind}": v for (n, t, kind), v in sweep.pure_reference.items()
         },
         "unconverged_points": [
-            {"nq": r.n_qubits, "eps": _fmt(r.epsilon), "bound_kind": r.bound_kind}
-            for r in sweep.bound_rows
-            if not r.converged
+            {"nq": p.n_qubits, "eps": _fmt(p.epsilon), "bound_kind": kind}
+            for p in sweep.points
+            for kind, b in zip(kinds, (p.lower, p.upper))
+            if not b.converged
         ],
-        "initial_momentum": sweep.initial_momentum,
+        "initial_momentum": DEFAULT_INITIAL_MOMENTUM,
         "gamma": asdict(gamma_cal) if gamma_cal else None,
         "predictions": _predictions(config, gamma_cal),
     }

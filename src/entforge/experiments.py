@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import DensityMatrix, ValidationError
 from .entanglement import (
+    PURE_BLOCK_BYTES,
     enumerate_balanced_bipartitions,
     MixedSpectrum,
     haar_random_state,
@@ -41,8 +42,8 @@ from .noise import (
     batch_slices,
     derive_seed,
     mixture,
+    physical_memory_bytes,
     recommend_realizations,
-    require_ensemble_memory,
     require_memory,
     run_trajectories,
 )
@@ -62,6 +63,10 @@ DEFAULT_INITIAL_MOMENTUM = 1
 GENERATION_ENSEMBLE = 32
 #: relative drift between half- and full-sample means flagged as unconverged
 CONVERGENCE_DRIFT = 0.02
+#: a pure-state worker's peak, in units of one state or one ``pure_spectrum``
+#: block, whichever is larger: tracemalloc of one generation row (evolve,
+#: then spectrum) gave 4.3 blocks at n_q = 10 and 9.6 states at n_q = 14
+ENSEMBLE_WORKER_COPIES = 10
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -142,6 +147,8 @@ def _fit_line(points, name: str, *, log_x: bool, log_y: bool):
     ys = np.asarray([p[1] for p in points], dtype=np.float64)
     if xs.size < 3:
         raise ValidationError(f"{name} fit needs at least 3 points")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise ValidationError(f"{name} fit needs finite x and y")
     if (log_x and np.any(xs <= 0)) or (log_y and np.any(ys <= 0)):
         raise ValidationError(f"{name} fit needs positive {'x and y' if log_x else 'y'}")
     if log_x:
@@ -188,6 +195,29 @@ def generation_ensemble(params: MapParams):
     else:
         momenta = (int(-N // 2 + (j + 0.5) * N / count) for j in range(count))
     return [momentum_basis_state(params, n) for n in momenta]
+
+
+def require_ensemble_memory(states: dict[int, int], workers: int) -> None:
+    """Refuse a pure-state ensemble run that would not fit in memory.
+
+    ``states`` maps each register size to the number of states its ensemble
+    sends to the ``workers`` spectrum workers.  The run's process holds
+    every state of every size at once, plus a pickled copy of each on its
+    way to a worker; each worker holds ``ENSEMBLE_WORKER_COPIES`` times one
+    state or one ``PURE_BLOCK_BYTES`` block of the largest size.
+    """
+    parent = sum(2 * count * 16 * 2**n_q for n_q, count in states.items())
+    n_q = max(states)
+    per_worker = ENSEMBLE_WORKER_COPIES * max(PURE_BLOCK_BYTES, 16 * 2**n_q)
+    needed = parent + workers * per_worker
+    available = physical_memory_bytes()
+    if needed > available:
+        raise ValidationError(
+            f"n_q = {n_q} with {states[n_q]} pure states needs ~{needed / 1e9:.1f} GB: "
+            f"{parent / 1e9:.1f} GB of states and their pickled copies and "
+            f"{workers * per_worker / 1e9:.1f} GB for {workers} spectrum worker(s); "
+            f"this machine has {available / 1e9:.1f} GB"
+        )
 
 
 # --- generation (Page convergence) --------------------------------------------
@@ -355,44 +385,40 @@ def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
 
 
 @dataclass(frozen=True)
-class BoundRow:
-    n_qubits: int
-    time: int
-    epsilon: float
-    bound_kind: str
+class BoundStats:
+    """One bound's mean and std over the balanced bipartitions of rho, with
+    the batch-means standard error and the convergence verdict."""
+
     mean: float
     std: float
     stderr: float  # batch-means standard error of the mean
-    n_realizations: int
     converged: bool
 
 
 @dataclass(frozen=True)
-class FidelityRow:
+class SweepPoint:
+    """One (n_q, t, eps) point of a noise sweep."""
+
     n_qubits: int
     time: int
     epsilon: float
-    fidelity: float
-    stderr: float
     n_realizations: int
+    lower: BoundStats
+    upper: BoundStats
+    fidelity: float
+    fidelity_stderr: float
+    total_entropy: float  # S(rho)
+    ordering_margin: float  # min over bipartitions of upper - lower
 
 
 @dataclass(frozen=True)
 class NoiseSweepResult:
-    bound_rows: list[BoundRow]
-    fidelity_rows: list[FidelityRow]
+    points: list[SweepPoint]  # in (n_q, eps, t) order
     pure_reference: dict[tuple[int, int, str], float]  # (n_q, t, kind) -> eps=0 mean
-    total_entropy: dict[tuple[int, int, float], float]  # (n_q, t, eps) -> S(rho)
-    ordering_margin: dict[tuple[int, int, float], float]  # min(upper - lower)
-    initial_momentum: int
 
-    def rows_for(self, n_q: int, time: int, kind: str) -> list[BoundRow]:
-        rows = [
-            r
-            for r in self.bound_rows
-            if r.n_qubits == n_q and r.time == time and r.bound_kind == kind
-        ]
-        return sorted(rows, key=lambda r: r.epsilon)
+    def points_for(self, n_q: int, time: int) -> list[SweepPoint]:
+        points = [p for p in self.points if p.n_qubits == n_q and p.time == time]
+        return sorted(points, key=lambda p: p.epsilon)
 
 
 def available_cpus() -> int:
@@ -531,22 +557,17 @@ def trajectory_spectra(pool, config: ExperimentConfig, n_q: int, eps: float, tim
     return result, spectra
 
 
-def _bound_stats_rows(n_q, time, eps, spec, batch_specs, n_real):
-    """Each bound's ``BoundRow`` from rho's spectrum ``spec`` and the batch
+def _bound_stats(spec, batch_specs, kind: str) -> BoundStats:
+    """Bound ``kind``'s statistics from rho's spectrum ``spec`` and the batch
     spectra: stderr from the batch means, convergence from their first half."""
-    rows = []
-    for kind in ("lower", "upper"):
-        values = getattr(spec, kind)
-        mean = float(values.mean())
-        batch_means = [float(getattr(b, kind).mean()) for b in batch_specs]
-        half = float(np.mean(batch_means[: max(1, len(batch_means) // 2)]))
-        drift = abs(mean - half) / max(abs(mean), 1e-12)
-        converged = bool(drift <= CONVERGENCE_DRIFT)
-        stderr = _batch_stderr(batch_means)
-        rows.append(
-            BoundRow(n_q, time, eps, kind, mean, float(values.std()), stderr, n_real, converged)
-        )
-    return rows
+    values = getattr(spec, kind)
+    mean = float(values.mean())
+    batch_means = [float(getattr(b, kind).mean()) for b in batch_specs]
+    half = float(np.mean(batch_means[: max(1, len(batch_means) // 2)]))
+    drift = abs(mean - half) / max(abs(mean), 1e-12)
+    converged = bool(drift <= CONVERGENCE_DRIFT)
+    stderr = _batch_stderr(batch_means)
+    return BoundStats(mean, float(values.std()), stderr, converged)
 
 
 def _snapshot_times(config: ExperimentConfig, snapshot_times) -> list[int]:
@@ -576,11 +597,8 @@ def run_noise_sweep(
     state's ``pure_spectrum`` (lower) or ``pure_log_negativity`` (upper).
     """
     times = _snapshot_times(config, snapshot_times)
-    bound_rows: list[BoundRow] = []
-    fidelity_rows: list[FidelityRow] = []
+    points: list[SweepPoint] = []
     pure_reference: dict[tuple[int, int, str], float] = {}
-    total_entropy: dict[tuple[int, int, float], float] = {}
-    ordering_margin: dict[tuple[int, int, float], float] = {}
     with _sweep_pool(config, config.qubit_range, config.epsilon_grid, times) as pool:
         for n_q in config.qubit_range:
             params = MapParams(n_q, config.k_param)
@@ -593,25 +611,20 @@ def run_noise_sweep(
                 result, spectra = trajectory_spectra(pool, config, n_q, eps, times)
                 for t in times:
                     snap = result.snapshots[t]
-                    n_real = snap.n_realizations
                     spec, batch_specs = spectra[t]
-                    bound_rows.extend(_bound_stats_rows(n_q, t, eps, spec, batch_specs, n_real))
-                    ordering_margin[(n_q, t, eps)] = float(np.min(spec.upper - spec.lower))
-                    total_entropy[(n_q, t, eps)] = spec.total_entropy
-                    fid_err = _batch_stderr(
-                        [snap.fidelities[sl].mean() for sl in snap.batch_slices]
-                    )
-                    fidelity_rows.append(
-                        FidelityRow(n_q, t, eps, snap.mean_fidelity, fid_err, n_real)
-                    )
-    return NoiseSweepResult(
-        bound_rows,
-        fidelity_rows,
-        pure_reference,
-        total_entropy,
-        ordering_margin,
-        DEFAULT_INITIAL_MOMENTUM,
-    )
+                    points.append(SweepPoint(
+                        n_q,
+                        t,
+                        eps,
+                        snap.n_realizations,
+                        _bound_stats(spec, batch_specs, "lower"),
+                        _bound_stats(spec, batch_specs, "upper"),
+                        snap.mean_fidelity,
+                        _batch_stderr([snap.fidelities[sl].mean() for sl in snap.batch_slices]),
+                        spec.total_entropy,
+                        float(np.min(spec.upper - spec.lower)),
+                    ))
+    return NoiseSweepResult(points, pure_reference)
 
 
 # --- threshold search -----------------------------------------------------------
@@ -668,9 +681,9 @@ def find_threshold(config: ExperimentConfig, sweep: NoiseSweepResult) -> Thresho
     amplitude tightens the bracket before the final interpolation; only
     then does a ``spectrum_pool`` start, as in ``run_noise_sweep``.
     """
-    sizes = tuple(dict.fromkeys(r.n_qubits for r in sweep.bound_rows))  # in sweep order
-    grid = sorted({r.epsilon for r in sweep.bound_rows})
-    times = sorted({r.time for r in sweep.bound_rows})
+    sizes = tuple(dict.fromkeys(p.n_qubits for p in sweep.points))  # in sweep order
+    grid = sorted({p.epsilon for p in sweep.points})
+    times = sorted({p.time for p in sweep.points})
     require_positive_grid(grid)
     rows: list[ThresholdRow] = []
     fits: dict[tuple[int, str], FitResult] = {}
@@ -679,7 +692,7 @@ def find_threshold(config: ExperimentConfig, sweep: NoiseSweepResult) -> Thresho
         for t in times:
             for kind in ("lower", "upper"):
                 for n_q in sizes:
-                    curve = [(r.epsilon, r.mean) for r in sweep.rows_for(n_q, t, kind)]
+                    curve = [(p.epsilon, getattr(p, kind).mean) for p in sweep.points_for(n_q, t)]
                     target = config.threshold_fraction * sweep.pure_reference[(n_q, t, kind)]
                     eps_star = interpolate_threshold(curve, target)
                     method = "interpolated"

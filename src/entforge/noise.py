@@ -25,7 +25,6 @@ from functools import cached_property
 import numpy as np
 
 from .core import DensityMatrix, StateVector, ValidationError
-from .entanglement import PURE_BLOCK_BYTES
 from .sawtooth import (
     Gate,
     GateKind,
@@ -48,10 +47,6 @@ RHO_TEMPORARIES = 2
 #: amplitude columns: the rho, its symmetrized copy in ``mixed_spectrum``,
 #: a partial transpose and the eigensolver's input copy
 WORKER_MATRICES = 4
-#: a pure-state worker's peak, in units of one state or one ``pure_spectrum``
-#: block, whichever is larger: tracemalloc of one generation row (evolve,
-#: then spectrum) gave 4.3 blocks at n_q = 10 and 9.6 states at n_q = 14
-ENSEMBLE_WORKER_COPIES = 10
 #: safety factor on the ~sqrt(N) / ~N realization counts of ``recommend_realizations``
 REALIZATION_MULTIPLIER = 4
 
@@ -201,29 +196,6 @@ def require_memory(n_q: int, n_times: int, n_realizations: int, workers: int = 0
             f"amplitude blocks, {matrices} N x N matrices of {matrix_bytes / 1e6:.0f} MB "
             f"each and {workers * per_worker / 1e9:.1f} GB for {workers} spectrum "
             f"worker(s); this machine has {available / 1e9:.1f} GB"
-        )
-
-
-def require_ensemble_memory(states: dict[int, int], workers: int) -> None:
-    """Refuse a pure-state ensemble run that would not fit in memory.
-
-    ``states`` maps each register size to the number of states its ensemble
-    sends to the ``workers`` spectrum workers.  The run's process holds
-    every state of every size at once, plus a pickled copy of each on its
-    way to a worker; each worker holds ``ENSEMBLE_WORKER_COPIES`` times one
-    state or one ``PURE_BLOCK_BYTES`` block of the largest size.
-    """
-    parent = sum(2 * count * 16 * 2**n_q for n_q, count in states.items())
-    n_q = max(states)
-    per_worker = ENSEMBLE_WORKER_COPIES * max(PURE_BLOCK_BYTES, 16 * 2**n_q)
-    needed = parent + workers * per_worker
-    available = physical_memory_bytes()
-    if needed > available:
-        raise ValidationError(
-            f"n_q = {n_q} with {states[n_q]} pure states needs ~{needed / 1e9:.1f} GB: "
-            f"{parent / 1e9:.1f} GB of states and their pickled copies and "
-            f"{workers * per_worker / 1e9:.1f} GB for {workers} spectrum worker(s); "
-            f"this machine has {available / 1e9:.1f} GB"
         )
 
 

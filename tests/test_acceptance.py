@@ -133,27 +133,26 @@ def test_criterion_5_fidelity_decay(gamma_calibration):
     assert ok, detail
 
 
-def test_criterion_6_bound_behavior(sweep_config, acceptance_sweep):
+def test_criterion_6_bound_behavior(acceptance_sweep):
     sweep = acceptance_sweep
     problems = []
     for n_q in (4, 6, 8):
         for kind in ("lower", "upper"):
-            rows = sweep.rows_for(n_q, 30, kind)
+            points = sweep.points_for(n_q, 30)
             ref = sweep.pure_reference[(n_q, 30, kind)]
-            for a, b in zip(rows, rows[1:]):
+            for p, q in zip(points, points[1:]):
+                a, b = getattr(p, kind), getattr(q, kind)
                 slack = 2.0 * math.hypot(a.stderr, b.stderr)
                 if b.mean > a.mean + slack:
                     problems.append(
-                        f"{kind} mean rises at n_q={n_q}, eps={b.epsilon:.3g}"
+                        f"{kind} mean rises at n_q={n_q}, eps={q.epsilon:.3g}"
                     )
-            drop = abs(rows[0].mean - ref) / ref
+            drop = abs(getattr(points[0], kind).mean - ref) / ref
             if drop > 0.02:
                 problems.append(
                     f"{kind} at n_q={n_q}: smallest-eps value {drop:.1%} from eps=0"
                 )
-        margin = min(
-            sweep.ordering_margin[(n_q, 30, eps)] for eps in sweep_config.epsilon_grid
-        )
+        margin = min(p.ordering_margin for p in sweep.points_for(n_q, 30))
         if margin < -1e-9:
             problems.append(f"bound ordering violated at n_q={n_q} by {margin:.2e}")
     ok = not problems
@@ -210,13 +209,11 @@ def test_criterion_8_analytic_consistency(sweep_config, acceptance_sweep, gamma_
     gamma = gamma_calibration.gamma_reference_convention
     problems = []
     # entropy never exceeds the fidelity-implied cap
-    fidelity_by_point = {
-        (r.n_qubits, r.time, r.epsilon): r.fidelity for r in sweep.fidelity_rows
-    }
-    for (n_q, t, eps), s in sweep.total_entropy.items():
+    for p in sweep.points:
+        n_q, t, eps, s = p.n_qubits, p.time, p.epsilon, p.total_entropy
         if not in_regime(eps, n_q, t):
             continue
-        cap = fano_entropy_bound(fidelity_by_point[(n_q, t, eps)], n_q)
+        cap = fano_entropy_bound(p.fidelity, n_q)
         if s > cap + 1e-9:
             problems.append(f"S={s:.4f} > cap={cap:.4f} at (n_q={n_q}, t={t}, eps={eps:.3g})")
     # measured lower-bound mean stays above the eps=0 value minus the full
@@ -225,18 +222,18 @@ def test_criterion_8_analytic_consistency(sweep_config, acceptance_sweep, gamma_
     margins = []  # (E_m - floor) / predicted entropy, n_q, t, eps
     for n_q in (4, 6, 8):
         for t in (15, 30):
-            for row in sweep.rows_for(n_q, t, "lower"):
-                if not in_regime(row.epsilon, n_q, t):
+            for p in sweep.points_for(n_q, t):
+                if not in_regime(p.epsilon, n_q, t):
                     continue
                 drop = predicted_entropy(
-                    row.epsilon, n_q, t, gamma, reference_gate_count(n_q)
+                    p.epsilon, n_q, t, gamma, reference_gate_count(n_q)
                 )
                 floor = sweep.pure_reference[(n_q, t, "lower")] - drop
-                margins.append(((row.mean - floor) / drop, n_q, t, row.epsilon))
-                if row.mean < floor - 3 * row.stderr:
+                margins.append(((p.lower.mean - floor) / drop, n_q, t, p.epsilon))
+                if p.lower.mean < floor - 3 * p.lower.stderr:
                     problems.append(
-                        f"E_m={row.mean:.4f} < floor={floor:.4f} - 3se at "
-                        f"(n_q={n_q}, t={t}, eps={row.epsilon:.3g})"
+                        f"E_m={p.lower.mean:.4f} < floor={floor:.4f} - 3se at "
+                        f"(n_q={n_q}, t={t}, eps={p.epsilon:.3g})"
                     )
     # analytic threshold within a factor of two of the simulated one
     thr = find_threshold(sweep_config, sweep=sweep)

@@ -175,6 +175,10 @@ class TestCountsRefusedBeforeWork:
             (["generate", "--nq", "4", "--steps", "3", "--config", "seed = abc"], "seed"),
             (["ENTFORGE_SEED=x", "generate", "--nq", "4", "--steps", "3"], "seed"),
             (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3:-1e-1:log:3"], "eps_grid"),
+            (["noise-sweep", "--nq", "4", "--eps-grid", "1e-3", "--config", "strict = yes"],
+             "strict"),
+            (["threshold", "--nq", "4", "--eps-grid", "1e-3", "--config", "refine = 1"],
+             "refine"),
         ],
     )
     def test_exit_usage_naming_the_key(self, tmp_path, capsys, monkeypatch, argv, key):
@@ -334,6 +338,20 @@ class TestSpectrumCommand:
         assert len(stats_lines) == 1 + 6  # 3 sizes x 2 families
         samples_header = (out / "spectrum_samples_sawtooth.csv").read_text().splitlines()[0]
         assert samples_header == "nq,bipartition_mask,entropy"
+
+    def test_non_finite_rate_fit_is_refused(self, tmp_path, capsys):
+        # at K = 0 some evolved momentum states stay product states, so their
+        # relative std is inf; the fit refuses it rather than writing NaN
+        out = tmp_path / "spec"
+        code = main(
+            ["spectrum", "--nq", "4,6,8", "--k-param", "0", "--steps", "2",
+             "--haar-samples", "2", "--out", str(out)]
+        )
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:")
+        assert not out.exists()
 
 
 class TestNoiseSweepCommand:

@@ -134,6 +134,11 @@ class TestFits:
         with pytest.raises(ValidationError):
             fit_exponential([(0, 1.0), (1, 0.5)])
 
+    @pytest.mark.parametrize("fit", [fit_power_law, fit_exponential, fit_linear])
+    def test_rejects_non_finite(self, fit):
+        with pytest.raises(ValidationError, match="finite"):
+            fit([(1, 1.0), (2, math.inf), (3, 0.5)])
+
 
 class TestInterpolateThreshold:
     def test_synthetic_gaussian_curve(self):
@@ -280,28 +285,27 @@ def sweep():
 class TestNoiseSweepAndThreshold:
     def test_bound_rows_complete(self, sweep):
         cfg, result = sweep
-        assert len(result.bound_rows) == len(cfg.epsilon_grid) * 2
-        assert len(result.fidelity_rows) == len(cfg.epsilon_grid)
+        bounds = [b for p in result.points for b in (p.lower, p.upper)]
+        assert len(bounds) == len(cfg.epsilon_grid) * 2
+        assert len(result.points) == len(cfg.epsilon_grid)
 
     def test_small_eps_near_pure_value(self, sweep):
         cfg, result = sweep
         for kind in ("lower", "upper"):
-            rows = result.rows_for(4, 10, kind)
+            points = result.points_for(4, 10)
             ref = result.pure_reference[(4, 10, kind)]
-            assert abs(rows[0].mean - ref) / ref < 0.02
+            assert abs(getattr(points[0], kind).mean - ref) / ref < 0.02
 
     def test_large_eps_strongly_mixed(self, sweep):
         cfg, result = sweep
-        rows = result.rows_for(4, 10, "lower")
+        points = result.points_for(4, 10)
         ref = result.pure_reference[(4, 10, "lower")]
-        assert rows[-1].mean < 0.1 * ref
+        assert points[-1].lower.mean < 0.1 * ref
 
     def test_ordering_lower_below_upper(self, sweep):
         cfg, result = sweep
-        lower = result.rows_for(4, 10, "lower")
-        upper = result.rows_for(4, 10, "upper")
-        for lo, up in zip(lower, upper):
-            assert lo.mean <= up.mean + 1e-9
+        for point in result.points_for(4, 10):
+            assert point.lower.mean <= point.upper.mean + 1e-9
 
     def test_pure_reference_takes_no_partial_trace_of_a_pure_state(self, monkeypatch):
         # both eps = 0 references come from the stacked Schmidt blocks, bit
@@ -377,8 +381,9 @@ class TestNoiseSweepAndThreshold:
         # per bound kind: the grid's curve, then the refined curve holding eps twice
         assert len(curves) == 4
         for kind, refined in zip(("lower", "upper"), curves[1::2]):
-            (row,) = [r for r in result.rows_for(4, 10, kind) if r.epsilon == eps]
-            assert [m for e, m in refined if e == eps] == [row.mean, row.mean]
+            (point,) = [p for p in result.points_for(4, 10) if p.epsilon == eps]
+            mean = getattr(point, kind).mean
+            assert [m for e, m in refined if e == eps] == [mean, mean]
 
     def test_threshold_grid_comes_from_the_sweep(self, sweep):
         # a qubit_range=(4,) sweep with a qubit_range=(4, 6) config once
@@ -429,7 +434,7 @@ class TestNoiseSweepAndThreshold:
     def test_deterministic(self, sweep):
         cfg, result = sweep
         again = run_noise_sweep(cfg)
-        for a, b in zip(result.bound_rows, again.bound_rows):
+        for a, b in zip(result.points, again.points):
             assert a == b
 
 
@@ -564,7 +569,7 @@ class TestSpectrumPool:
             qubit_range=(4,), steps=6, epsilon_grid=(3e-3, 3e-2), n_realizations=40
         )
         result = run_noise_sweep(cfg, snapshot_times=[3, 6])
-        assert len(result.bound_rows) == 8
+        assert len([b for p in result.points for b in (p.lower, p.upper)]) == 8
         assert full == []
 
     def test_pool_size_does_not_change_csvs(self, tmp_path, monkeypatch):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from entforge import noise
+from entforge import experiments, noise
 from entforge.core import ValidationError, fidelity, von_neumann_entropy
 from entforge.entanglement import PURE_BLOCK_BYTES
+from entforge.experiments import require_ensemble_memory
 from entforge.noise import (
     NoiseRealization,
     batch_slices,
@@ -16,7 +17,6 @@ from entforge.noise import (
     perturb_one_qubit_gate,
     perturb_phase_gate,
     recommend_realizations,
-    require_ensemble_memory,
     require_memory,
     run_trajectories,
 )
@@ -387,8 +387,8 @@ class TestMemoryGuard:
         # 32 states of n_q = 4 and their pickled copies: 32 x 2 x 256 B; a
         # worker holds ENSEMBLE_WORKER_COPIES blocks of PURE_BLOCK_BYTES
         states = 32 * 2 * 16 * 2**4
-        worker = noise.ENSEMBLE_WORKER_COPIES * PURE_BLOCK_BYTES
-        monkeypatch.setattr(noise, "physical_memory_bytes", lambda: states + worker)
+        worker = experiments.ENSEMBLE_WORKER_COPIES * PURE_BLOCK_BYTES
+        monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: states + worker)
         require_ensemble_memory({4: 32}, workers=1)
         with pytest.raises(ValidationError, match="n_q = 4 with 32 pure states"):
             require_ensemble_memory({4: 32, 2: 1}, workers=1)
