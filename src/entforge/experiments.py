@@ -270,12 +270,23 @@ def _generation_row(task) -> np.ndarray:
     return row
 
 
+def _require_kick(config: ExperimentConfig) -> None:
+    """Refuse K = 0 for the noiseless experiments: the kick is then the
+    identity, so momentum eigenstates only pick up phases and never entangle."""
+    if config.k_param == 0:
+        raise ValidationError(
+            "k_param: at K = 0 the kick is the identity and momentum eigenstates "
+            "stay product states; use a nonzero K"
+        )
+
+
 def run_generation(config: ExperimentConfig) -> GenerationResult:
     """Ensemble-averaged entanglement growth <E_AB>(t) and its convergence
     time scale per register size; each ensemble state's curve is one task
     of a ``spectrum_pool``."""
     if config.steps < 3:  # _tau_window fits t = 1..3 at least
         raise ValidationError("steps: the convergence fit needs steps >= 3")
+    _require_kick(config)
     require_ensemble_memory(dict.fromkeys(config.qubit_range, GENERATION_ENSEMBLE), pool_size())
     with spectrum_pool() as pool:
         pending = {}
@@ -351,6 +362,7 @@ def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
         raise ValidationError("spectrum rate fit needs at least 3 register sizes")
     if any(n < 4 for n in config.qubit_range):
         raise ValidationError("spectrum experiments need n_q >= 4")
+    _require_kick(config)
     states = GENERATION_ENSEMBLE + config.haar_samples  # evolved and Haar states per size
     require_ensemble_memory(dict.fromkeys(config.qubit_range, states), pool_size())
     with spectrum_pool() as pool:

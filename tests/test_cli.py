@@ -295,6 +295,23 @@ class TestGenerateCommand:
         assert err[0].startswith("error: steps:")
         assert not out.exists()
 
+    def test_unkicked_map_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        # at K = 0 momentum eigenstates stay product states: the mean entropy
+        # is FFT rounding and the convergence fit would be meaningless
+        def no_work(*args, **kwargs):
+            raise AssertionError("the ensemble started for an unkicked map")
+
+        monkeypatch.setattr(experiments, "spectrum_pool", no_work)
+        monkeypatch.setattr(experiments, "require_ensemble_memory", no_work)
+        out = tmp_path / "o"
+        code = main(["generate", "--nq", "4,6,8", "--steps", "5", "--k-param", "0",
+                     "--out", str(out)])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: k_param:")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "argv", [["generate", "--nq", "40"], ["spectrum", "--nq", "4,6,40"]]
     )
@@ -339,9 +356,26 @@ class TestSpectrumCommand:
         samples_header = (out / "spectrum_samples_sawtooth.csv").read_text().splitlines()[0]
         assert samples_header == "nq,bipartition_mask,entropy"
 
+    def test_unkicked_map_refused_before_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the ensemble started for an unkicked map")
+
+        monkeypatch.setattr(experiments, "spectrum_pool", no_work)
+        monkeypatch.setattr(experiments, "require_ensemble_memory", no_work)
+        out = tmp_path / "spec"
+        code = main(["spectrum", "--nq", "4,6,8", "--k-param", "0", "--steps", "2",
+                     "--haar-samples", "2", "--out", str(out)])
+        assert code == EXIT_FAILURE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: k_param:")
+        assert not out.exists()
+
     def test_non_finite_rate_fit_is_refused(self, tmp_path, capsys):
-        # at K = 0 some evolved momentum states stay product states, so their
-        # relative std is inf; the fit refuses it rather than writing NaN
+        # at K = 0 every evolved momentum state stays a product state; that
+        # input is now refused before any work (the test above), and this
+        # one keeps its outcome.  TestFits covers the fit's own refusal of a
+        # non-finite relative std.
         out = tmp_path / "spec"
         code = main(
             ["spectrum", "--nq", "4,6,8", "--k-param", "0", "--steps", "2",

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from entforge.core import ValidationError, fidelity, von_neumann_entropy
 from entforge.entanglement import PURE_BLOCK_BYTES
 from entforge.experiments import require_ensemble_memory
 from entforge.noise import (
+    RHO_TEMPORARIES,
     NoiseRealization,
     batch_slices,
     derive_seed,
@@ -342,6 +344,32 @@ class TestMixture:
         np.testing.assert_allclose(rho.matrix, expected, atol=1e-14)
         rho.validate()  # Hermitian / trace / PSD
         assert von_neumann_entropy(rho) >= -1e-12
+
+    @pytest.mark.parametrize("n_qubits", [2, 4, 6, 7, 8])
+    @pytest.mark.parametrize("per_level", [0, 0.5, 1, 4, 16])
+    def test_agrees_with_one_product(self, n_qubits, per_level):
+        # R from 1 to 16 N, off the strip count by 3 columns where R >= N
+        n_levels = 2**n_qubits
+        count = max(1, int(per_level * n_levels) - 3)
+        columns = np.asfortranarray(random_columns(n_qubits, count, n_qubits + count))
+        product = columns @ columns.conj().T
+        expected = 0.5 * (product + product.conj().T) / count
+        got = mixture(columns).matrix
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("per_level", [0.5, 4])
+    def test_peak_is_rho_and_its_temporaries(self, per_level):
+        # no conjugate copy of the block: the traced peak above the (N, R)
+        # input is rho and at most RHO_TEMPORARIES more N x N matrices
+        n_levels = 2**6
+        columns = np.asfortranarray(random_columns(6, int(per_level * n_levels), 3))
+        tracemalloc.start()
+        try:
+            mixture(columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (1 + RHO_TEMPORARIES) * 16 * n_levels**2
 
     @pytest.mark.parametrize("n_qubits, count", [(1, 1), (3, 5), (4, 40)])
     def test_hermitian_bit_for_bit(self, n_qubits, count):
