@@ -185,39 +185,45 @@ def _batch_stderr(batch_means) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size)) if values.size > 1 else 0.0
 
 
-def generation_ensemble(params: MapParams):
-    """Momentum eigenstates averaged by the generation experiment: all N of
-    them when N <= GENERATION_ENSEMBLE, else that many momenta spread over
-    the torus."""
+def generation_ensemble(params: MapParams) -> list[int]:
+    """Momenta of the eigenstates averaged by the generation experiment: all
+    N of them when N <= GENERATION_ENSEMBLE, else that many spread over the
+    torus."""
     N, count = params.N, GENERATION_ENSEMBLE
     if N <= count:
-        momenta = range(-N // 2, N // 2)
-    else:
-        momenta = (int(-N // 2 + (j + 0.5) * N / count) for j in range(count))
-    return [momentum_basis_state(params, n) for n in momenta]
+        return list(range(-N // 2, N // 2))
+    return [int(-N // 2 + (j + 0.5) * N / count) for j in range(count)]
 
 
-def require_ensemble_memory(states: dict[int, int], workers: int) -> None:
-    """Refuse a pure-state ensemble run that would not fit in memory.
-
-    ``states`` maps each register size to the number of states its ensemble
-    sends to the ``workers`` spectrum workers.  The run's process holds
-    every state of every size at once, plus a pickled copy of each on its
-    way to a worker; each worker holds ``ENSEMBLE_WORKER_COPIES`` times one
-    state or one ``PURE_BLOCK_BYTES`` block of the largest size.
-    """
-    parent = sum(2 * count * 16 * 2**n_q for n_q, count in states.items())
-    n_q = max(states)
-    per_worker = ENSEMBLE_WORKER_COPIES * max(PURE_BLOCK_BYTES, 16 * 2**n_q)
-    needed = parent + workers * per_worker
+def require_ensemble_memory(n_q: int, workers: int) -> None:
+    """Refuse a pure-state run over registers of up to ``n_q`` qubits whose
+    ``workers`` spectrum workers, each holding ``ENSEMBLE_WORKER_COPIES``
+    states or ``PURE_BLOCK_BYTES`` blocks, would not fit in memory."""
+    needed = workers * ENSEMBLE_WORKER_COPIES * max(PURE_BLOCK_BYTES, 16 * 2**n_q)
     available = physical_memory_bytes()
     if needed > available:
         raise ValidationError(
-            f"n_q = {n_q} with {states[n_q]} pure states needs ~{needed / 1e9:.1f} GB: "
-            f"{parent / 1e9:.1f} GB of states and their pickled copies and "
-            f"{workers * per_worker / 1e9:.1f} GB for {workers} spectrum worker(s); "
+            f"n_q = {n_q} with {workers} spectrum worker(s) needs ~{needed / 1e9:.1f} GB; "
             f"this machine has {available / 1e9:.1f} GB"
         )
+
+
+def _pure_state(task):
+    """The state a task names: ``(n_q, seed)`` is a Haar-random state, and
+    ``(params, momentum, steps)`` is |momentum> after ``steps`` map steps."""
+    if len(task) == 2:
+        return haar_random_state(*task)
+    params, momentum, steps = task
+    return evolve_exact(momentum_basis_state(params, momentum), params, steps)
+
+
+def _pure_spectrum_task(task) -> np.ndarray:
+    return pure_spectrum(_pure_state(task))
+
+
+def _pure_reference_task(task) -> tuple[float, float]:
+    state = _pure_state(task)  # a noise sweep's eps = 0 lower and upper means
+    return stats(pure_spectrum(state)).mean, float(pure_log_negativity(state).mean())
 
 
 # --- generation (Page convergence) --------------------------------------------
@@ -253,14 +259,15 @@ def _tau_window(deviation: np.ndarray) -> int:
 
 
 def _generation_row(task) -> np.ndarray:
-    """Mean entanglement over balanced bipartitions of one ensemble state
-    at t = 0..steps.
+    """Mean entanglement over balanced bipartitions of |momentum> of
+    ``params`` at t = 0..steps, for the task ``(params, momentum, steps)``.
 
     A computational basis state (one nonzero amplitude, as every ensemble
     state is at t = 0) is a product state: its entry keeps the +0.0 that
     ``stats(pure_spectrum(state)).mean`` would give, and no spectrum is taken.
     """
-    state, params, steps = task
+    params, momentum, steps = task
+    state = momentum_basis_state(params, momentum)
     row = np.zeros(steps + 1)
     for t in range(steps + 1):
         if t > 0:
@@ -282,17 +289,17 @@ def _require_kick(config: ExperimentConfig) -> None:
 
 def run_generation(config: ExperimentConfig) -> GenerationResult:
     """Ensemble-averaged entanglement growth <E_AB>(t) and its convergence
-    time scale per register size; each ensemble state's curve is one task
-    of a ``spectrum_pool``."""
+    time scale per register size; each ensemble momentum's curve is one
+    task of a ``spectrum_pool``."""
     if config.steps < 3:  # _tau_window fits t = 1..3 at least
         raise ValidationError("steps: the convergence fit needs steps >= 3")
     _require_kick(config)
-    require_ensemble_memory(dict.fromkeys(config.qubit_range, GENERATION_ENSEMBLE), pool_size())
+    require_ensemble_memory(max(config.qubit_range), pool_size())
     with spectrum_pool() as pool:
         pending = {}
         for n_q in config.qubit_range:
             params = MapParams(n_q, config.k_param)
-            tasks = [(state, params, config.steps) for state in generation_ensemble(params)]
+            tasks = [(params, n, config.steps) for n in generation_ensemble(params)]
             pending[n_q] = pool.map_async(_generation_row, tasks, chunksize=1)
         tables = {n_q: np.array(rows.get()) for n_q, rows in pending.items()}
     series = {}
@@ -357,28 +364,26 @@ def _spectrum_family(n_q, family, spectra) -> SpectrumFamily:
 def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
     """Entanglement distributions of evolved vs Haar-random states, with the
     exponential width-vs-size fit for both families; each state's spectrum
-    is one task of a ``spectrum_pool``."""
+    is one task of a ``spectrum_pool``, named by momentum or Haar seed."""
     if len(config.qubit_range) < 3:
         raise ValidationError("spectrum rate fit needs at least 3 register sizes")
     if any(n < 4 for n in config.qubit_range):
         raise ValidationError("spectrum experiments need n_q >= 4")
     _require_kick(config)
-    states = GENERATION_ENSEMBLE + config.haar_samples  # evolved and Haar states per size
-    require_ensemble_memory(dict.fromkeys(config.qubit_range, states), pool_size())
+    require_ensemble_memory(max(config.qubit_range), pool_size())
     with spectrum_pool() as pool:
         pending = {}
         for n_q in config.qubit_range:
             params = MapParams(n_q, config.k_param)
-            evolved = [
-                evolve_exact(state, params, config.steps)
-                for state in generation_ensemble(params)
-            ]
-            haar_states = [
-                haar_random_state(n_q, derive_seed(config.master_seed, "haar", n_q, i))
-                for i in range(config.haar_samples)
-            ]
-            for family, states in (("sawtooth", evolved), ("haar", haar_states)):
-                pending[(n_q, family)] = pool.map_async(pure_spectrum, states, chunksize=1)
+            tasks = {
+                "sawtooth": [(params, n, config.steps) for n in generation_ensemble(params)],
+                "haar": [
+                    (n_q, derive_seed(config.master_seed, "haar", n_q, i))
+                    for i in range(config.haar_samples)
+                ],
+            }
+            for family, names in tasks.items():
+                pending[(n_q, family)] = pool.map_async(_pure_spectrum_task, names, chunksize=1)
         families = {
             (n_q, family): _spectrum_family(n_q, family, spectra.get())
             for (n_q, family), spectra in pending.items()
@@ -453,10 +458,11 @@ def spectrum_pool():
     A single eigensolve gains nothing from a second BLAS thread here, and
     Python threads serialize on it, so spectra run one per process:
     ``pool_size()`` workers, the ``spawn`` method (a forked child inherits
-    the parent's BLAS threads).  The pure-state experiments map their
-    ensembles over the workers; a noise sweep sends each batch's spectrum
-    while its trajectories still run, and splits each rho's bipartitions
-    over all the workers (``submit_spectrum``).
+    the parent's BLAS threads).  Every pure state is built, evolved and
+    measured in a worker from a task that names it (``_pure_state``); a
+    noise sweep sends each batch's spectrum while its trajectories still
+    run, and splits each rho's bipartitions over all the workers
+    (``submit_spectrum``).
 
     The workers never import the caller's main module: an empty module
     stands in for it while the constructor starts them, so an unguarded
@@ -606,19 +612,19 @@ def run_noise_sweep(
     spectra run in a ``spectrum_pool``.
 
     Each (n_q, t) bound's ``pure_reference`` is the mean of the eps = 0
-    state's ``pure_spectrum`` (lower) or ``pure_log_negativity`` (upper).
+    state's ``pure_spectrum`` (lower) or ``pure_log_negativity`` (upper),
+    taken in the pool; the caller's process takes no eigensolve.
     """
     times = _snapshot_times(config, snapshot_times)
     points: list[SweepPoint] = []
-    pure_reference: dict[tuple[int, int, str], float] = {}
     with _sweep_pool(config, config.qubit_range, config.epsilon_grid, times) as pool:
+        ideals = [
+            (MapParams(n_q, config.k_param), DEFAULT_INITIAL_MOMENTUM, t)
+            for n_q in config.qubit_range
+            for t in times
+        ]
+        references = pool.map_async(_pure_reference_task, ideals, chunksize=1)
         for n_q in config.qubit_range:
-            params = MapParams(n_q, config.k_param)
-            init = momentum_basis_state(params, DEFAULT_INITIAL_MOMENTUM)
-            for t in times:
-                ideal = evolve_exact(init, params, t)
-                pure_reference[(n_q, t, "lower")] = stats(pure_spectrum(ideal)).mean
-                pure_reference[(n_q, t, "upper")] = float(pure_log_negativity(ideal).mean())
             for eps in config.epsilon_grid:
                 result, spectra = trajectory_spectra(pool, config, n_q, eps, times)
                 for t in times:
@@ -636,6 +642,11 @@ def run_noise_sweep(
                         spec.total_entropy,
                         float(np.min(spec.upper - spec.lower)),
                     ))
+        pure_reference = {
+            (params.n_q, t, kind): value
+            for (params, _, t), bounds in zip(ideals, references.get())
+            for kind, value in zip(("lower", "upper"), bounds)
+        }
     return NoiseSweepResult(points, pure_reference)
 
 

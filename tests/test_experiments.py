@@ -180,7 +180,9 @@ class TestRunGeneration:
     def test_ensemble_starts_from_basis_states_of_zero_entropy(self, n_q):
         # _generation_row takes no spectrum of these states and keeps the
         # +0.0 of its np.zeros row, which must equal the spectrum's mean
-        for state in generation_ensemble(MapParams(n_q)):
+        params = MapParams(n_q)
+        for n in generation_ensemble(params):
+            state = momentum_basis_state(params, n)
             assert np.count_nonzero(state.amplitudes) == 1
             mean = stats(pure_spectrum(state)).mean
             assert mean == 0.0 and math.copysign(1.0, mean) == 1.0
@@ -216,15 +218,17 @@ class TestRunSpectrum:
 
 
 class TestPooledEnsembles:
-    """The pure-state experiments run each state in a pool worker; their
-    results must equal an in-process ``pure_spectrum`` loop exactly."""
+    """The pure-state experiments build, evolve and measure each state in a
+    pool worker from its momentum or Haar seed; their results must equal an
+    in-process ``pure_spectrum`` loop over the same momenta and seeds exactly."""
 
     def test_generation_matches_in_process(self, generation_result):
         for n_q in (4, 6):
             params = MapParams(n_q)
-            states = generation_ensemble(params)
-            table = np.zeros((len(states), 21))
-            for i, state in enumerate(states):
+            momenta = generation_ensemble(params)
+            table = np.zeros((len(momenta), 21))
+            for i, n in enumerate(momenta):
+                state = momentum_basis_state(params, n)
                 for t in range(21):
                     if t > 0:
                         state = evolve_exact(state, params, 1)
@@ -237,7 +241,10 @@ class TestPooledEnsembles:
         for n_q in (4, 6, 8):
             params = MapParams(n_q)
             families = {
-                "sawtooth": [evolve_exact(s, params, 12) for s in generation_ensemble(params)],
+                "sawtooth": [
+                    evolve_exact(momentum_basis_state(params, n), params, 12)
+                    for n in generation_ensemble(params)
+                ],
                 "haar": [haar_random_state(n_q, derive_seed(0, "haar", n_q, i)) for i in range(20)],
             }
             for family, states in families.items():
@@ -248,6 +255,24 @@ class TestPooledEnsembles:
                 np.testing.assert_array_equal(fam.sample_masks, masks * len(states))
                 rels = [stats(spectrum).relative_std for spectrum in spectra]
                 assert fam.relative_std == float(np.mean(rels))
+
+    @pytest.mark.parametrize("run", [run_generation, run_spectrum], ids=["generate", "spectrum"])
+    def test_tasks_name_states_not_amplitudes(self, monkeypatch, run):
+        # a task is (params, momentum, steps) or (n_q, Haar seed): the run's
+        # own process builds no state and sends no amplitudes to a worker
+        sent = []
+        map_async = multiprocessing.pool.Pool.map_async
+
+        def recording(pool, func, tasks, *rest, **kwargs):
+            sent.extend(tasks)
+            return map_async(pool, func, tasks, *rest, **kwargs)
+
+        monkeypatch.setattr(multiprocessing.pool.Pool, "map_async", recording)
+        run(ExperimentConfig(qubit_range=(4, 6, 8), steps=3, haar_samples=2))
+        # 16 momenta at n_q = 4 and 32 at 6 and 8, then 2 Haar seeds per size
+        assert len(sent) == 16 + 32 + 32 + (3 * 2 if run is run_spectrum else 0)
+        for task in sent:
+            assert all(type(x) in (int, MapParams) for x in task), task
 
     @pytest.mark.parametrize(
         "argv, names",
@@ -555,22 +580,25 @@ class TestSpectrumPool:
 
     def test_parent_takes_no_full_eigensolve(self, monkeypatch):
         # rho's trace and positivity are checked in the workers, on the
-        # eigenvalues mixed_spectrum takes for S(rho), not again in the parent
-        full = []
+        # eigenvalues mixed_spectrum takes for S(rho), not again in the parent;
+        # the eps = 0 references' stacked Schmidt eigensolves run there too
+        shapes = []
         eigvalsh = np.linalg.eigvalsh
 
         def counting_eigvalsh(matrix):
-            if matrix.shape == (16, 16):
-                full.append(matrix.shape)
+            shapes.append(matrix.shape)
             return eigvalsh(matrix)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         cfg = ExperimentConfig(
-            qubit_range=(4,), steps=6, epsilon_grid=(3e-3, 3e-2), n_realizations=40
+            qubit_range=(4,), steps=6, epsilon_grid=(0.0, 3e-3, 3e-2), n_realizations=40
         )
         result = run_noise_sweep(cfg, snapshot_times=[3, 6])
-        assert len([b for p in result.points for b in (p.lower, p.upper)]) == 8
-        assert full == []
+        assert len([b for p in result.points for b in (p.lower, p.upper)]) == 12
+        assert list(result.pure_reference) == [
+            (4, t, kind) for t in (3, 6) for kind in ("lower", "upper")
+        ]
+        assert shapes == []
 
     def test_pool_size_does_not_change_csvs(self, tmp_path, monkeypatch):
         written = []

@@ -411,17 +411,18 @@ class TestMemoryGuard:
         with pytest.raises(ValidationError, match="for 1 spectrum worker"):
             require_memory(4, 1, 16, workers=1)
 
-    def test_ensemble_estimate_counts_states_copies_and_workers(self, monkeypatch):
-        # 32 states of n_q = 4 and their pickled copies: 32 x 2 x 256 B; a
-        # worker holds ENSEMBLE_WORKER_COPIES blocks of PURE_BLOCK_BYTES
-        states = 32 * 2 * 16 * 2**4
+    def test_ensemble_estimate_counts_workers(self, monkeypatch):
+        # up to n_q = 15 a worker holds ENSEMBLE_WORKER_COPIES blocks of
+        # PURE_BLOCK_BYTES, from n_q = 16 that many states; the run's own
+        # process builds no state
         worker = experiments.ENSEMBLE_WORKER_COPIES * PURE_BLOCK_BYTES
-        monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: states + worker)
-        require_ensemble_memory({4: 32}, workers=1)
-        with pytest.raises(ValidationError, match="n_q = 4 with 32 pure states"):
-            require_ensemble_memory({4: 32, 2: 1}, workers=1)
-        with pytest.raises(ValidationError, match="for 2 spectrum worker"):
-            require_ensemble_memory({4: 32}, workers=2)
+        monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 2 * worker)
+        require_ensemble_memory(4, workers=2)
+        require_ensemble_memory(15, workers=2)
+        with pytest.raises(ValidationError, match="n_q = 4 with 3 spectrum worker"):
+            require_ensemble_memory(4, workers=3)
+        with pytest.raises(ValidationError, match="n_q = 16 with 2 spectrum worker"):
+            require_ensemble_memory(16, workers=2)
 
     def test_run_trajectories_refuses_before_work(self, monkeypatch):
         monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10**4)
