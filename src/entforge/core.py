@@ -157,25 +157,16 @@ class Bipartition:
         return 2 * self.size_a == self.n_qubits
 
 
-def is_unitary(gate: np.ndarray) -> bool:
-    eye = np.eye(gate.shape[0])
-    return bool(np.max(np.abs(gate.conj().T @ gate - eye)) <= UNITARITY_ATOL)
-
-
-def apply_one_qubit_gate(
-    state: StateVector, qubit: int, gate: np.ndarray, validate: bool = False
-) -> StateVector:
-    """Apply a 2x2 unitary to one qubit of the state.
-
-    Unitarity is only checked when ``validate`` is set; hot loops skip it.
-    """
+def apply_one_qubit_gate(state: StateVector, qubit: int, gate: np.ndarray) -> StateVector:
+    """Apply a 2x2 unitary to one qubit of the state, refusing a gate that
+    is not unitary: the slow reference path, which no hot loop calls."""
     n = state.n_qubits
     if not 0 <= qubit < n:
         raise ValidationError(f"qubit {qubit} out of range for {n} qubits")
     gate = np.asarray(gate, dtype=np.complex128)
     if gate.shape != (2, 2):
         raise ValidationError(f"gate shape {gate.shape} != (2, 2)")
-    if validate and not is_unitary(gate):
+    if np.max(np.abs(gate.conj().T @ gate - np.eye(2))) > UNITARITY_ATOL:
         raise ValidationError("gate is not unitary")
     psi = state.amplitudes.reshape(2 ** (n - 1 - qubit), 2, 2**qubit)
     a, b = psi[:, 0, :], psi[:, 1, :]

@@ -63,9 +63,9 @@ DEFAULT_INITIAL_MOMENTUM = 1
 GENERATION_ENSEMBLE = 32
 #: relative drift between half- and full-sample means flagged as unconverged
 CONVERGENCE_DRIFT = 0.02
-#: a pure-state worker's peak, in units of one state or one ``pure_spectrum``
-#: block, whichever is larger: tracemalloc of one generation row (evolve,
-#: then spectrum) gave 4.3 blocks at n_q = 10 and 9.6 states at n_q = 14
+#: a pure-state worker's peak beside its Schmidt gather tables, in units of one
+#: state or one ``pure_spectrum`` block, whichever is larger: tracemalloc of one
+#: generation row gave 4.3 blocks at n_q = 10 and 9.6 states at n_q = 14
 ENSEMBLE_WORKER_COPIES = 10
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -197,9 +197,12 @@ def generation_ensemble(params: MapParams) -> list[int]:
 
 def require_ensemble_memory(n_q: int, workers: int) -> None:
     """Refuse a pure-state run over registers of up to ``n_q`` qubits whose
-    ``workers`` spectrum workers, each holding ``ENSEMBLE_WORKER_COPIES``
-    states or ``PURE_BLOCK_BYTES`` blocks, would not fit in memory."""
-    needed = workers * ENSEMBLE_WORKER_COPIES * max(PURE_BLOCK_BYTES, 16 * 2**n_q)
+    ``workers`` spectrum workers would not fit in memory: each holds
+    ``ENSEMBLE_WORKER_COPIES`` states or ``PURE_BLOCK_BYTES`` blocks, and it
+    keeps the Schmidt gather tables that its first spectrum of that size
+    builds (``entanglement._schmidt_indices``), so the estimate holds cold."""
+    tables = 8 * math.comb(n_q, n_q // 2) * 2 ** (n_q // 2)  # 2 int64 tables of P = C/2 rows
+    needed = workers * (ENSEMBLE_WORKER_COPIES * max(PURE_BLOCK_BYTES, 16 * 2**n_q) + tables)
     available = physical_memory_bytes()
     if needed > available:
         raise ValidationError(
@@ -277,14 +280,33 @@ def _generation_row(task) -> np.ndarray:
     return row
 
 
-def _require_kick(config: ExperimentConfig) -> None:
-    """Refuse K = 0 for the noiseless experiments: the kick is then the
-    identity, so momentum eigenstates only pick up phases and never entangle."""
+def _ensemble_tasks(config: ExperimentConfig, n_q: int) -> list:
+    """Task names ``(params, momentum, steps)`` of the ensemble at ``n_q``."""
+    params = MapParams(n_q, config.k_param)
+    return [(params, n, config.steps) for n in generation_ensemble(params)]
+
+
+def _pooled(config: ExperimentConfig, task, names_for) -> dict:
+    """Run a pure-state experiment's tasks in one ``spectrum_pool``:
+    ``names_for(n_q)`` gives ``{key: task names}`` per register size, and the
+    result is ``{key: [task(name) for name in names]}``.
+
+    Before any task is named or any worker starts, it refuses K = 0 (the kick
+    is then the identity, so momentum eigenstates only pick up phases and
+    never entangle) and registers whose workers cannot fit in memory."""
     if config.k_param == 0:
         raise ValidationError(
             "k_param: at K = 0 the kick is the identity and momentum eigenstates "
             "stay product states; use a nonzero K"
         )
+    require_ensemble_memory(max(config.qubit_range), pool_size())
+    with spectrum_pool() as pool:
+        pending = {
+            key: pool.map_async(task, names, chunksize=1)
+            for n_q in config.qubit_range
+            for key, names in names_for(n_q).items()
+        }
+        return {key: result.get() for key, result in pending.items()}
 
 
 def run_generation(config: ExperimentConfig) -> GenerationResult:
@@ -293,19 +315,11 @@ def run_generation(config: ExperimentConfig) -> GenerationResult:
     task of a ``spectrum_pool``."""
     if config.steps < 3:  # _tau_window fits t = 1..3 at least
         raise ValidationError("steps: the convergence fit needs steps >= 3")
-    _require_kick(config)
-    require_ensemble_memory(max(config.qubit_range), pool_size())
-    with spectrum_pool() as pool:
-        pending = {}
-        for n_q in config.qubit_range:
-            params = MapParams(n_q, config.k_param)
-            tasks = [(params, n, config.steps) for n in generation_ensemble(params)]
-            pending[n_q] = pool.map_async(_generation_row, tasks, chunksize=1)
-        tables = {n_q: np.array(rows.get()) for n_q, rows in pending.items()}
+    rows = _pooled(config, _generation_row, lambda n_q: {n_q: _ensemble_tasks(config, n_q)})
     series = {}
     taus = []
     for n_q in config.qubit_range:
-        mean_entropy = tables[n_q].mean(axis=0)
+        mean_entropy = np.array(rows[n_q]).mean(axis=0)
         target = page_value(n_q)
         deviation = np.abs(target - mean_entropy)
         cut = _tau_window(deviation)
@@ -369,25 +383,14 @@ def run_spectrum(config: ExperimentConfig) -> SpectrumResult:
         raise ValidationError("spectrum rate fit needs at least 3 register sizes")
     if any(n < 4 for n in config.qubit_range):
         raise ValidationError("spectrum experiments need n_q >= 4")
-    _require_kick(config)
-    require_ensemble_memory(max(config.qubit_range), pool_size())
-    with spectrum_pool() as pool:
-        pending = {}
-        for n_q in config.qubit_range:
-            params = MapParams(n_q, config.k_param)
-            tasks = {
-                "sawtooth": [(params, n, config.steps) for n in generation_ensemble(params)],
-                "haar": [
-                    (n_q, derive_seed(config.master_seed, "haar", n_q, i))
-                    for i in range(config.haar_samples)
-                ],
-            }
-            for family, names in tasks.items():
-                pending[(n_q, family)] = pool.map_async(_pure_spectrum_task, names, chunksize=1)
-        families = {
-            (n_q, family): _spectrum_family(n_q, family, spectra.get())
-            for (n_q, family), spectra in pending.items()
-        }
+
+    def names_for(n_q):
+        haar = [(n_q, derive_seed(config.master_seed, "haar", n_q, i))
+                for i in range(config.haar_samples)]
+        return {(n_q, "sawtooth"): _ensemble_tasks(config, n_q), (n_q, "haar"): haar}
+
+    spectra = _pooled(config, _pure_spectrum_task, names_for)
+    families = {key: _spectrum_family(*key, values) for key, values in spectra.items()}
     rate_fits = {}
     for family in ("sawtooth", "haar"):
         pts = [

@@ -47,7 +47,8 @@ class MapParams:
 
     ``N = 2**n_q`` levels, kick period ``T = 2*pi/N``, kick strength
     ``k = K/T``; the classical chaos parameter is ``K = k*T`` (chaotic for
-    K > 0 or K < -4; the default 1.5 sits in the chaotic regime).
+    K > 0 or K < -4; the default 1.5 sits in the chaotic regime).  Any finite
+    K is accepted: T and k derive from N and K, so k*T is K up to rounding.
     """
 
     n_q: int
@@ -58,10 +59,6 @@ class MapParams:
             raise ValidationError("n_q must be >= 1")
         if not math.isfinite(self.K):
             raise ValidationError("K must be finite")
-        if abs(self.T * self.N - 2.0 * math.pi) > 1e-12:
-            raise ValidationError("T*N != 2*pi")
-        if abs(self.k * self.T - self.K) > 1e-12:
-            raise ValidationError("k*T != K")
 
     @property
     def N(self) -> int:

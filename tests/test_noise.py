@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -412,17 +416,44 @@ class TestMemoryGuard:
             require_memory(4, 1, 16, workers=1)
 
     def test_ensemble_estimate_counts_workers(self, monkeypatch):
-        # up to n_q = 15 a worker holds ENSEMBLE_WORKER_COPIES blocks of
-        # PURE_BLOCK_BYTES, from n_q = 16 that many states; the run's own
+        # a worker holds ENSEMBLE_WORKER_COPIES blocks of PURE_BLOCK_BYTES (up
+        # to n_q = 15; states from 16) and keeps two int64 Schmidt gather
+        # tables of C(n_q, n_q/2)/2 rows of 2**(n_q/2) entries; the run's own
         # process builds no state
-        worker = experiments.ENSEMBLE_WORKER_COPIES * PURE_BLOCK_BYTES
-        monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 2 * worker)
-        require_ensemble_memory(4, workers=2)
-        require_ensemble_memory(15, workers=2)
-        with pytest.raises(ValidationError, match="n_q = 4 with 3 spectrum worker"):
-            require_ensemble_memory(4, workers=3)
-        with pytest.raises(ValidationError, match="n_q = 16 with 2 spectrum worker"):
-            require_ensemble_memory(16, workers=2)
+        blocks = experiments.ENSEMBLE_WORKER_COPIES * PURE_BLOCK_BYTES
+        tables_12 = 2 * 462 * 2**6 * 8
+        monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 2 * (blocks + tables_12))
+        require_ensemble_memory(12, workers=2)
+        with pytest.raises(ValidationError, match="n_q = 14 with 2 spectrum worker"):
+            require_ensemble_memory(14, workers=2)  # refused for its 3.5 MB of tables
+        require_ensemble_memory(14, workers=1)
+        with pytest.raises(ValidationError, match="n_q = 16 with 1 spectrum worker"):
+            require_ensemble_memory(16, workers=1)
+
+    @pytest.mark.parametrize("n_q", [12, 14])
+    def test_ensemble_estimate_holds_on_a_cold_worker(self, n_q, monkeypatch):
+        # a fresh process has no gather tables cached, so its first spectrum
+        # builds them: one task's tracemalloc peak there must stay within
+        # one worker's estimate, i.e. a machine with less memory than that
+        # peak refuses one worker
+        script = (
+            "import tracemalloc\n"
+            "from entforge.experiments import _pure_spectrum_task\n"
+            "tracemalloc.start()\n"
+            f"_pure_spectrum_task(({n_q}, 0))\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        src = str(Path(experiments.__file__).parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        run = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path}, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
+        peak = int(run.stdout)
+        monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: peak - 1)
+        with pytest.raises(ValidationError, match="with 1 spectrum worker"):
+            require_ensemble_memory(n_q, workers=1)
 
     def test_run_trajectories_refuses_before_work(self, monkeypatch):
         monkeypatch.setattr(noise, "physical_memory_bytes", lambda: 10**4)

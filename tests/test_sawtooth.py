@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from entforge.cli import EXIT_OK, main
 from entforge.core import (
     StateVector,
     ValidationError,
@@ -72,6 +73,20 @@ class TestMapParams:
     def test_rejects_non_finite_k(self, K):
         with pytest.raises(ValidationError, match="finite"):
             MapParams(4, K)
+
+    @pytest.mark.parametrize("n_q, K", [(4, 3494280.757916379), (8, 25780.38984787673)])
+    def test_any_finite_kick_accepted(self, n_q, K):
+        # T and k are derived from N and K, so k*T differs from K by rounding
+        # alone, which grows with |K|; such kicks were once refused
+        p = MapParams(n_q, K)
+        assert p.K == K
+        assert p.k * p.T == pytest.approx(K, rel=1e-14)
+
+    def test_noise_sweep_runs_at_large_kick(self, tmp_path):
+        argv = ["noise-sweep", "--nq", "4", "--k-param", "3494280.757916379",
+                "--eps-grid", "1e-2", "--steps", "2", "--realizations", "8",
+                "--out", str(tmp_path / "o")]
+        assert main(argv) == EXIT_OK
 
 
 class TestPhases:
